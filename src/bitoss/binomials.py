@@ -11,6 +11,10 @@ grid: the multivariate binomial.  It is computed here two ways,
 * directly, for N = 2, by summing multinomial terms over the closed-form
   fiber of each grid cell, which avoids enumerating all draws.
 
+Every multinomial term comes from one engine, :func:`face_terms`: exact
+integer numerators in rational mode, log space in float mode, so float
+grids stay finite at any toss count.
+
 Both paths agree exactly in rational mode.  ``recover_coin`` inverts the
 construction from the grid's mean and covariance alone, using that the grid
 moments are K times the coin moments.
@@ -22,7 +26,8 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 
 from .kernel import (
     Dist,
@@ -30,12 +35,12 @@ from .kernel import (
     Multiset,
     OutOfRange,
     RATIONAL,
+    TWO_BY_TWO,
     WrongSpace,
     coerce_scalar,
     dist_map,
     enumerate_msets,
     moments,
-    mset_coefficient,
     zero,
 )
 
@@ -132,37 +137,70 @@ def _check_probability(r):
 def flip(r) -> Coin:
     """Single biased coin: probability ``r`` of 1 and ``1 - r`` of 0."""
     r = _check_probability(r)
-    one = Fraction(1) if not isinstance(r, float) else 1.0
-    return Coin(1, Dist({1: r, 0: one - r}))
+    return Coin(1, Dist({1: r, 0: 1 - r}))
+
+
+def face_terms(weights, tosses: int, mode: str):
+    """The multinomial term engine: ``(term, prob)`` for size-``tosses``
+    draws from an urn with the given face weights.
+
+    ``term(counts)`` is ``tosses! / prod(m!) * prod(w^m)`` over the draw's
+    face counts ``m``, up to a scale common to the urn; ``prob`` turns a
+    sum of terms into a probability.  Its tables are built once per urn.
+    Rational mode keeps exact integer numerators over ``D**tosses``, with
+    ``D`` the weights' common denominator; float mode works in log space,
+    so nothing overflows at any K.
+    """
+    if tosses < 0:
+        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
+    weights = [coerce_scalar(w, mode) for w in weights]
+    span = range(tosses + 1)
+    if mode == RATIONAL:
+        den = math.lcm(*(w.denominator for w in weights))
+        fact = list(accumulate(range(1, tosses + 1), mul, initial=1))
+        powers = [[int(w * den) ** m for m in span] for w in weights]
+        scale = den**tosses
+
+        def term(counts) -> int:
+            div = 1
+            for m in counts:
+                div *= fact[m]
+            num = fact[tosses] // div
+            for table, m in zip(powers, counts):
+                num *= table[m]
+            return num
+
+        return term, lambda total: Fraction(total, scale)
+
+    log_fact = [math.lgamma(m + 1) for m in span]
+    log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
+    # log(w^m / m!), with 0^0 = 1
+    logs = [[(m * lw if m else 0.0) - log_fact[m] for m in span] for lw in log_w]
+
+    def log_term(counts) -> float:
+        total = log_fact[tosses]
+        for table, m in zip(logs, counts):
+            total += table[m]
+        return math.exp(total)
+
+    return log_term, float
 
 
 def binomial(tosses: int, r) -> Dist:
     """Number of 1s in ``tosses`` flips of a coin with bias ``r``."""
-    if tosses < 0:
-        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
     r = _check_probability(r)
-    one = Fraction(1) if not isinstance(r, float) else 1.0
-    return Dist(
-        {n: math.comb(tosses, n) * r**n * (one - r) ** (tosses - n) for n in range(tosses + 1)}
-    )
-
-
-def multinomial_term(omega: Dist, phi: Multiset):
-    """Probability of the draw ``phi`` from the urn ``omega``."""
-    term = coerce_scalar(mset_coefficient(phi), omega.mode)
-    for x, m in phi.items():
-        term *= omega(x) ** m
-    return term
+    term, prob = face_terms([1 - r, r], tosses, FLOAT if isinstance(r, float) else RATIONAL)
+    return Dist({n: prob(term((tosses - n, n))) for n in range(tosses + 1)})
 
 
 def multinomial(draws: int, omega: Dist, cap: int | None = None) -> Dist:
     """Distribution of size-``draws`` multiset draws, with replacement,
     from the urn ``omega``."""
-    if draws < 0:
-        raise OutOfRange(f"draw size must be >= 0, got {draws}")
+    faces = omega.support()
+    term, prob = face_terms([v for _, v in omega.items()], draws, omega.mode)
     acc = {}
-    for phi in enumerate_msets(omega.support(), draws, cap=cap):
-        p = multinomial_term(omega, phi)
+    for phi in enumerate_msets(faces, draws, cap=cap):
+        p = prob(term([phi(x) for x in faces]))
         if p > 0:
             acc[phi] = p
     return Dist(acc, mode=omega.mode)
@@ -204,45 +242,27 @@ def heads(phi: Multiset, n_dim: int | None = None):
     return phi(1)
 
 
-def fiber(tosses: int, n1: int, n2: int) -> list[Multiset]:
-    """All size-``tosses`` multisets over ``{0,1}^2`` with heads ``(n1, n2)``.
+def fiber_counts(tosses: int, n1: int, n2: int) -> list[tuple[int, int, int, int]]:
+    """Face counts ``(#00, #01, #10, #11)`` of the size-``tosses`` draws over
+    ``{0,1}^2`` with heads ``(n1, n2)``, from the closed form
 
-    Produced by the closed form: with ``n1 <= n2`` the multisets are
+        ``(K-n1-n2+j, n2-j, n1-j, j)``
 
-        ``(K-n2-i)|0,0> + (n2-n1+i)|0,1> + i|1,0> + (n1-i)|1,1>``
-
-    for ``0 <= i <= min(n1, K-n2)``, and symmetrically (swapping the roles
-    of ``|0,1>`` and ``|1,0>``) when ``n2 < n1``.  Zero multiplicities are
-    dropped.
+    for ``j`` (the count of ``|1,1>``) from ``min(n1, n2)`` down to
+    ``max(0, n1+n2-K)``.
     """
     if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
         raise OutOfRange(f"heads ({n1}, {n2}) out of range for {tosses} tosses")
-    out = []
-    if n1 <= n2:
-        for i in range(min(n1, tosses - n2) + 1):
-            out.append(
-                Multiset(
-                    {
-                        (0, 0): tosses - n2 - i,
-                        (0, 1): n2 - n1 + i,
-                        (1, 0): i,
-                        (1, 1): n1 - i,
-                    }
-                )
-            )
-    else:
-        for i in range(min(n2, tosses - n1) + 1):
-            out.append(
-                Multiset(
-                    {
-                        (0, 0): tosses - n1 - i,
-                        (0, 1): i,
-                        (1, 0): n1 - n2 + i,
-                        (1, 1): n2 - i,
-                    }
-                )
-            )
-    return out
+    return [
+        (tosses - n1 - n2 + j, n2 - j, n1 - j, j)
+        for j in range(min(n1, n2), max(0, n1 + n2 - tosses) - 1, -1)
+    ]
+
+
+def fiber(tosses: int, n1: int, n2: int) -> list[Multiset]:
+    """All size-``tosses`` multisets over ``{0,1}^2`` with heads ``(n1, n2)``,
+    in the order of :func:`fiber_counts`; zero multiplicities are dropped."""
+    return [Multiset(zip(TWO_BY_TWO, counts)) for counts in fiber_counts(tosses, n1, n2)]
 
 
 def mvbin_functorial(tosses: int, coin: Coin, cap: int | None = None) -> GridDist:
@@ -254,20 +274,25 @@ def mvbin_functorial(tosses: int, coin: Coin, cap: int | None = None) -> GridDis
     return GridDist(tosses, coin.n_dim, grid)
 
 
+def _cell_probability(tosses: int, coin: Coin):
+    """Grid-cell probabilities of a two-coin, as a function of the heads:
+    the fiber sum of the cell's multinomial terms."""
+    if coin.n_dim != 2:
+        raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
+    term, prob = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, coin.dist.mode)
+    return lambda n1, n2: prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+
+
 def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
     """Single grid-cell probability of the bivariate binomial, via the fiber.
 
     Points outside the ``{0,...,K}^2`` grid have probability zero, matching
     distribution-call semantics.
     """
-    if coin.n_dim != 2:
-        raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    total = zero(coin.dist.mode)
+    cell = _cell_probability(tosses, coin)
     if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
-        return total
-    for phi in fiber(tosses, n1, n2):
-        total += multinomial_term(coin.dist, phi)
-    return total
+        return zero(coin.dist.mode)
+    return cell(n1, n2)
 
 
 def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
@@ -276,12 +301,11 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     Agrees exactly with :func:`mvbin_functorial` but never materializes the
     full multinomial.
     """
-    if coin.n_dim != 2:
-        raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
+    cell = _cell_probability(tosses, coin)
     acc = {}
     for n1 in range(tosses + 1):
         for n2 in range(tosses + 1):
-            p = bivbin_cell(tosses, coin, n1, n2)
+            p = cell(n1, n2)
             if p > 0:
                 acc[(n1, n2)] = p
     return GridDist(tosses, 2, Dist(acc, mode=coin.dist.mode))
@@ -292,40 +316,12 @@ def bivbin_tails(tosses: int, coin: Coin) -> GridDist:
 
     Cell ``(k, l)`` is the probability of ``k`` zeros in the first coordinate
     and ``l`` zeros in the second, i.e. the heads construction applied to the
-    coin with both bits flipped:
-
-        sum_i K! / (i! (k-i)! (l-i)! (K-k-l+i)!)
-              * g(0,0)^i * g(0,1)^(k-i) * g(1,0)^(l-i) * g(1,1)^(K-k-l+i)
-
-    with ``i`` ranging over ``max(0, k+l-K) .. min(k, l)``.
+    coin with both bits flipped.
     """
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    g = coin.dist
-    acc = {}
-    for k in range(tosses + 1):
-        for l in range(tosses + 1):
-            cell = zero(g.mode)
-            for i in range(max(0, k + l - tosses), min(k, l) + 1):
-                coeff = (
-                    math.factorial(tosses)
-                    // (
-                        math.factorial(i)
-                        * math.factorial(k - i)
-                        * math.factorial(l - i)
-                        * math.factorial(tosses - k - l + i)
-                    )
-                )
-                cell += (
-                    coerce_scalar(coeff, g.mode)
-                    * g((0, 0)) ** i
-                    * g((0, 1)) ** (k - i)
-                    * g((1, 0)) ** (l - i)
-                    * g((1, 1)) ** (tosses - k - l + i)
-                )
-            if cell > 0:
-                acc[(k, l)] = cell
-    return GridDist(tosses, 2, Dist(acc, mode=g.mode))
+    flipped = dist_map(lambda p: (1 - p[0], 1 - p[1]), coin.dist)
+    return bivbin_direct(tosses, Coin(2, flipped))
 
 
 def bivbin(tosses: int, coin: Coin, cap: int | None = None) -> GridDist:

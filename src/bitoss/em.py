@@ -32,22 +32,19 @@ from .kernel import (
     Multiset,
     OutOfRange,
     SupportMismatch,
+    TWO_BY_TWO,
     counter_rng,
     flrn,
     kl_divergence,
     to_float,
 )
 
-TWO_BY_TWO = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Run-time knobs: the full-support floor applied to predicted grids and
-    parameters, and an optional early stop on small KL improvements."""
+    """Run-time knob: the full-support floor applied to predicted grids and parameters."""
 
     floor: float = 1e-9
-    early_stop_tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,7 @@ def em_run(
     """Fit a mixture of bivariate binomials to a data multiset.
 
     Starts from :func:`em_init` under ``seed`` and applies ``iterations``
-    steps (fewer when the optional early stop triggers), recording the
-    divergence of every visited state.
+    steps, recording the divergence of every visited state.
     """
     if iterations < 1:
         raise OutOfRange(f"need at least one iteration, got {iterations}")
@@ -209,12 +205,6 @@ def em_run(
         chan = prediction_channel(state, config)
         records.append(EMRecord(i, kl_divergence(data_dist, push(chan, state.mixture)), state))
         state = _step(state, data_dist, chan, config)
-        if (
-            config.early_stop_tol is not None
-            and len(records) >= 2
-            and abs(records[-1].divergence - records[-2].divergence) < config.early_stop_tol
-        ):
-            break
     records.append(
         EMRecord(len(records), kl_divergence(data_dist, predict(state, config)), state)
     )

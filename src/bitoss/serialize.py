@@ -193,9 +193,10 @@ def grid_to_csv(grid: GridDist) -> str:
     """Probability matrix: row ``n1`` ascending, column ``n2`` ascending."""
     if grid.n_dim != 2:
         raise OutOfRange(f"CSV surfaces need a two-dimensional grid, got N={grid.n_dim}")
+    cells = dict(grid.dist.items())
     lines = []
     for n1 in range(grid.tosses + 1):
-        row = [repr(float(grid.dist((n1, n2)))) for n2 in range(grid.tosses + 1)]
+        row = [repr(float(cells.get((n1, n2), 0))) for n2 in range(grid.tosses + 1)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

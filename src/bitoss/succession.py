@@ -4,9 +4,13 @@ Each rule computes the mean of an inverted channel in closed form:
 
 * Beta prior with a binomial channel (counts of heads),
 * Dirichlet prior with a multinomial channel (multiset draws),
-* Dirichlet prior with the bivariate binomial channel (heads pairs),
 * Poisson prior on the toss count with a binomial or bivariate binomial
   channel (imperfect detection of emitted particles).
+
+The Dirichlet prior with the bivariate binomial channel (heads pairs) has
+the paper's closed-form formula, :func:`bivbin_dirichlet_mean`, which is
+not the posterior mean in general; :func:`bivbin_dirichlet_mean_oracle`
+computes the exact posterior mean.
 
 Beta and Dirichlet parameters are restricted to positive integers, which
 keeps every result an exact rational.  The Poisson rules are float valued
@@ -27,11 +31,11 @@ from .kernel import (
     Dist,
     Multiset,
     OutOfRange,
+    TWO_BY_TWO,
     WrongSpace,
     flrn,
+    mset_coefficient,
 )
-
-TWO_BY_TWO = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 POISSON_TAIL_TOL = 1e-9
 _DEGENERATE_FLOOR = 1e-300
@@ -114,8 +118,17 @@ def _check_two_by_two(params: DirichletParams) -> None:
 def bivbin_dirichlet_mean(
     params: DirichletParams, tosses: int, n1: int, n2: int
 ) -> Dist:
-    """Posterior mean two-coin after observing heads ``(n1, n2)``:
-    ``Flrn`` of the sum of ``psi + phi`` over the fiber of ``(n1, n2)``."""
+    """The paper's closed-form formula for the two-coin after observing heads
+    ``(n1, n2)``: ``Flrn`` of the sum of ``psi + phi`` over the fiber of
+    ``(n1, n2)``.
+
+    This is not the posterior mean in general: it averages the fiber
+    draws' updated means with equal weights, where the posterior weights
+    them by their Dirichlet-multinomial probabilities.
+    :func:`bivbin_dirichlet_mean_oracle` is the exact posterior mean; the
+    two agree when those probabilities are equal, e.g. for a singleton
+    fiber.
+    """
     _check_two_by_two(params)
     draws = fiber(tosses, n1, n2)
     total = Multiset()
@@ -137,13 +150,10 @@ def dirichlet_multinomial_pmf(params: DirichletParams, phi: Multiset) -> Fractio
     With integer pseudo-counts the Gamma ratios collapse to rising
     factorials, so the value is an exact rational.
     """
-    coeff = Fraction(math.factorial(phi.size))
-    for _, m in phi.items():
-        coeff /= math.factorial(m)
-    num = 1
+    num = mset_coefficient(phi)
     for x, m in phi.items():
         num *= _rising(params.psi(x), m)
-    return coeff * Fraction(num, _rising(params.psi.size, phi.size))
+    return Fraction(num, _rising(params.psi.size, phi.size))
 
 
 def bivbin_dirichlet_mean_oracle(

@@ -37,7 +37,9 @@ from bitoss.kernel import (
     validity,
 )
 
-from conftest import random_rational_coin, random_rational_dist
+from conftest import MIXTURE_COINS, random_rational_coin, random_rational_dist
+
+ZERO_FACE_COIN = two_coin(Fraction(7, 31), Fraction(0), Fraction(11, 31), Fraction(13, 31))
 
 # The ten draw probabilities of two tosses of the example coin, keyed by the
 # draw multiset, and the nine grid cells they push to.
@@ -102,6 +104,13 @@ class TestBinomial:
         mode_point = max(dist.items(), key=lambda kv: kv[1])[0]
         assert mode_point == 14
         assert validity(dist, lambda n: n) == 14
+
+    def test_large_toss_count_stays_finite(self):
+        # log-space reference with the exact integer coefficient
+        got = binomial(2000, 0.5)
+        for n in range(2001):
+            ref = math.exp(math.log(math.comb(2000, n)) + 2000 * math.log(0.5))
+            assert got(n) == pytest.approx(ref, rel=1e-9, abs=1e-300)
 
     def test_variance_is_k_r_one_minus_r(self):
         for tosses in range(9):
@@ -220,6 +229,29 @@ class TestGridConstructions:
                 assert bivbin_cell(3, example_coin, n1, n2) == grid((n1, n2))
         assert bivbin_cell(3, example_coin, 7, 1) == 0
 
+    @pytest.mark.parametrize("tosses", [15, 30, 60])
+    @pytest.mark.parametrize("coin", MIXTURE_COINS + (ZERO_FACE_COIN,))
+    def test_float_grid_matches_exact(self, coin, tosses):
+        exact = bivbin(tosses, coin).dist
+        got = dict(bivbin(tosses, Coin(2, to_float(coin.dist))).dist.items())
+        assert set(got) == set(exact.support())
+        for point, value in exact.items():
+            assert got[point] == pytest.approx(float(value), rel=1e-12)
+
+    def test_cell_at_large_toss_count_stays_finite(self):
+        coin = two_coin(0.3, 0.2, 0.1, 0.4)
+        # log-space reference with the exact integer coefficient
+        ref = sum(
+            math.exp(
+                math.log(mset_coefficient(phi))
+                + sum(m * math.log(coin.dist(x)) for x, m in phi.items())
+            )
+            for phi in fiber(700, 350, 350)
+        )
+        got = bivbin_cell(700, coin, 350, 350)
+        assert math.isfinite(got) and got > 0
+        assert got == pytest.approx(ref, rel=1e-9)
+
     def test_three_dimensional_coin(self):
         rng = random.Random(5)
         coin = Coin(3, random_rational_dist(rng, bit_points(3)))
@@ -319,11 +351,21 @@ class TestConvolutionClosure:
             lhs = convolve(bivbin_direct(k, coin).dist, bivbin_direct(l, coin).dist)
             assert lhs == bivbin_direct(k + l, coin).dist
 
-    def test_k_fold_convolution_of_the_coin(self, example_coin):
-        acc = Dist({(0, 0): 1})
-        for tosses in range(1, 6):
-            acc = convolve(acc, example_coin.dist)
-            assert acc == bivbin_direct(tosses, example_coin).dist
+    def test_k_fold_convolution_of_the_coin(self):
+        # the convolution computes no multinomial term: an oracle for the
+        # grid, its tails (the mirrored grid) and its marginal binomials
+        for coin in MIXTURE_COINS + (ZERO_FACE_COIN,):
+            acc = Dist({(0, 0): 1})
+            for tosses in range(1, 9):
+                acc = convolve(acc, coin.dist)
+                assert bivbin(tosses, coin).dist == acc
+                assert bivbin_tails(tosses, coin).dist == dist_map(
+                    lambda p: (tosses - p[0], tosses - p[1]), acc
+                )
+                for i in range(2):
+                    assert binomial(tosses, coin.heads_probability(i)) == dist_map(
+                        lambda p, i=i: p[i], acc
+                    )
 
 
 class TestMomentScaling:

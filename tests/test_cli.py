@@ -58,6 +58,15 @@ class TestBivbin:
         best = max(doc["entries"], key=lambda e: Fraction(e["num"], e["den"]))
         assert tuple(best["point"]) == (2, 5)
 
+    def test_one_dimensional_float_coin_at_large_K(self, tmp_path):
+        coin = tmp_path / "coin1.json"
+        coin.write_text(dumps(dist_to_json(Dist({0: 0.7, 1: 0.3}))))
+        out = tmp_path / "grid.json"
+        assert run("bivbin", "--coin", coin, "--K", 2000, "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["K"], doc["N"], doc["mode"]) == (2000, 1, FLOAT)
+        assert sum(e["p"] for e in doc["entries"]) == pytest.approx(1.0)
+
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -147,11 +147,6 @@ class TestRun:
         b = em_run(sampled_data, 2, 15, 4, 11)
         assert trace_to_json(a) == trace_to_json(b)
 
-    def test_early_stop(self, sampled_data):
-        cfg = EMConfig(early_stop_tol=1e-3)
-        trace = em_run(sampled_data, 2, 15, 50, 5, cfg)
-        assert len(trace.records) < 51
-
     def test_class_label_symmetry(self, sampled_data):
         data_dist = to_float(flrn(sampled_data))
         state = em_init(2, 15, 5)
