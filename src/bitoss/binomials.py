@@ -193,13 +193,13 @@ def binomial(tosses: int, r) -> Dist:
     return Dist({n: prob(term((tosses - n, n))) for n in range(tosses + 1)})
 
 
-def multinomial(draws: int, omega: Dist, cap: int | None = None) -> Dist:
+def multinomial(draws: int, omega: Dist) -> Dist:
     """Distribution of size-``draws`` multiset draws, with replacement,
     from the urn ``omega``."""
     faces = omega.support()
     term, prob = face_terms([v for _, v in omega.items()], draws, omega.mode)
     acc = {}
-    for phi in enumerate_msets(faces, draws, cap=cap):
+    for phi in enumerate_msets(faces, draws):
         p = prob(term([phi(x) for x in faces]))
         if p > 0:
             acc[phi] = p
@@ -265,12 +265,10 @@ def fiber(tosses: int, n1: int, n2: int) -> list[Multiset]:
     return [Multiset(zip(TWO_BY_TWO, counts)) for counts in fiber_counts(tosses, n1, n2)]
 
 
-def mvbin_functorial(tosses: int, coin: Coin, cap: int | None = None) -> GridDist:
+def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
     """Multivariate binomial as a pushforward: enumerate all draws of the
     coin and map each through the marginal heads function."""
-    grid = dist_map(
-        lambda phi: heads(phi, coin.n_dim), multinomial(tosses, coin.dist, cap=cap)
-    )
+    grid = dist_map(lambda phi: heads(phi, coin.n_dim), multinomial(tosses, coin.dist))
     return GridDist(tosses, coin.n_dim, grid)
 
 
@@ -324,11 +322,11 @@ def bivbin_tails(tosses: int, coin: Coin) -> GridDist:
     return bivbin_direct(tosses, Coin(2, flipped))
 
 
-def bivbin(tosses: int, coin: Coin, cap: int | None = None) -> GridDist:
+def bivbin(tosses: int, coin: Coin) -> GridDist:
     """Multivariate binomial, choosing the fiber fast path for two-coins."""
     if coin.n_dim == 2:
         return bivbin_direct(tosses, coin)
-    return mvbin_functorial(tosses, coin, cap=cap)
+    return mvbin_functorial(tosses, coin)
 
 
 def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:

@@ -4,7 +4,7 @@ A channel assigns to every domain point a distribution on a common codomain;
 it is a conditional probability table stored extensionally so it can be
 serialized and inverted.  The two operations are pushforward of a prior
 along a channel and the dagger (Bayesian inversion), whose domain is the
-support of the pushforward.
+support of the pushforward or a chosen part of it.
 """
 
 from __future__ import annotations
@@ -73,26 +73,27 @@ def push(chan: Channel, omega: Dist) -> Dist:
 def dagger(chan: Channel, omega: Dist, codomain: Iterable | None = None) -> Channel:
     """Bayesian inversion of a channel with respect to a prior.
 
-    The returned channel maps each point ``y`` in the support of
-    ``push(chan, omega)`` to the posterior
-    ``x -> omega(x) * chan(x)(y) / push(chan, omega)(y)``.
-
-    When ``codomain`` is given, the pushforward must put positive mass on
-    every codomain point (:class:`NotFullSupport` otherwise); without it the
-    dagger's domain is simply the pushforward's support, which avoids
-    manufactured division-by-zero errors on structurally empty cells.
+    The returned channel maps each point ``y`` of its domain to the posterior
+    ``x -> omega(x) * chan(x)(y) / push(chan, omega)(y)``.  Its domain is
+    ``codomain`` when given, in the given order, and otherwise the support
+    of ``push(chan, omega)``, which avoids manufactured division-by-zero
+    errors on structurally empty cells.  Every domain point needs positive
+    pushforward mass (:class:`NotFullSupport` otherwise).  Inverting only at
+    the points a caller reads, such as the observed cells of a data
+    distribution, skips the rows it would never read.
     """
     predicted = push(chan, omega)
-    if codomain is not None:
-        dead = [y for y in codomain if predicted(y) == 0]
-        if dead:
-            raise NotFullSupport(f"pushforward has zero mass at {dead!r}")
+    points = predicted.support() if codomain is None else tuple(codomain)
+    dead = [y for y in points if predicted(y) == 0]
+    if dead:
+        raise NotFullSupport(f"pushforward has zero mass at {dead!r}")
     kernel = {}
-    for y, py in predicted.items():
+    for y in points:
+        py = predicted(y)
         post = {}
         for x, wx in omega.items():
             joint = wx * chan(x)(y)
             if joint > 0:
                 post[x] = joint / py
         kernel[y] = Dist(post, mode=omega.mode)
-    return Channel(predicted.support(), kernel)
+    return Channel(points, kernel)

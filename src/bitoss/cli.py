@@ -92,11 +92,11 @@ def _mean_json(rule: str, mean) -> str:
 
 def cmd_bivbin(args) -> int:
     coin = _coin_from_file(args.coin, args.n)
+    if args.csv and coin.n_dim != 2:
+        raise UsageError("--csv needs a two-dimensional grid")
     grid = binomials.bivbin(args.K, coin)
     _write_text(args.out, serialize.dumps(serialize.grid_to_json(grid)))
     if args.csv:
-        if coin.n_dim != 2:
-            raise UsageError("--csv needs a two-dimensional grid")
         _write_text(args.csv, serialize.grid_to_csv(grid))
     return EXIT_OK
 
@@ -126,6 +126,10 @@ def cmd_em(args) -> int:
 
 def cmd_recover(args) -> int:
     grid = serialize.grid_from_json(_load_json(args.grid))
+    if grid.n_dim != 2:
+        raise UsageError(f"recover needs a two-dimensional grid, got N={grid.n_dim}")
+    if args.K < 1:
+        raise UsageError(f"--K must be >= 1, got {args.K}")
     if grid.tosses != args.K:
         raise UsageError(f"grid file has K={grid.tosses}, flag says {args.K}")
     try:

@@ -5,7 +5,8 @@ two-coin per class; class ``x`` predicts the grid distribution of its coin
 after ``K`` tosses.  One iteration performs
 
 * an E-step as a Jeffrey update: the new mixture is the data distribution
-  pushed back through the dagger of the prediction channel, and
+  pushed back through the dagger of the prediction channel, taken only at
+  the data's support, and
 * an M-step via the double dagger: the dagger is inverted again with the
   data distribution as prior, and each class's resulting grid distribution
   is projected onto coin parameters through ``recover_coin``.
@@ -160,7 +161,8 @@ def _check_data(data_dist: Dist, tosses: int) -> None:
 
 
 def _step(state: EMState, data_dist: Dist, chan: Channel, config: EMConfig) -> EMState:
-    inversion = dagger(chan, state.mixture)
+    # the data distribution reads the inversion only at its own support
+    inversion = dagger(chan, state.mixture, data_dist.support())
     new_mixture = _floored(
         push(inversion, data_dist), tuple(range(state.n_classes)), config.floor
     )

@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -86,17 +87,6 @@ class NotNormalized(BitossError):
 # ---------------------------------------------------------------------------
 # Scalar helpers (mode discipline)
 # ---------------------------------------------------------------------------
-
-
-def mode_of(value) -> str:
-    """Return the numeric mode of a scalar probability value."""
-    if isinstance(value, bool):
-        raise OutOfRange(f"bool is not a probability: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return RATIONAL
-    if isinstance(value, float):
-        return FLOAT
-    raise OutOfRange(f"not a supported scalar: {value!r}")
 
 
 def coerce_scalar(value, mode: str):
@@ -228,9 +218,10 @@ class Dist:
     Stored entries all have strictly positive probability, so the support is
     exactly the stored key set.  Construction validates normalization:
     exactly one in rational mode, within ``FLOAT_NORM_TOL`` in float mode.
+    Entries are kept in sorted point order, with a dict index for lookups.
     """
 
-    __slots__ = ("_entries", "_mode")
+    __slots__ = ("_entries", "_index", "_mode")
 
     def __init__(self, entries: Mapping | Iterable[tuple[object, object]], mode: str | None = None):
         items = list(entries.items() if isinstance(entries, Mapping) else entries)
@@ -252,6 +243,7 @@ class Dist:
         elif abs(total - 1.0) > FLOAT_NORM_TOL:
             raise NotNormalized(f"float probabilities sum to {total!r}")
         object.__setattr__(self, "_entries", tuple(sorted(acc.items())))
+        object.__setattr__(self, "_index", acc)
         object.__setattr__(self, "_mode", mode)
 
     @classmethod
@@ -266,10 +258,6 @@ class Dist:
             raise NotNormalized("weights need positive total mass")
         return cls([(p, w / total) for p, w in coerced], mode=mode)
 
-    @classmethod
-    def point_mass(cls, point, mode: str = RATIONAL) -> "Dist":
-        return cls({point: Fraction(1) if mode == RATIONAL else 1.0}, mode=mode)
-
     @property
     def mode(self) -> str:
         return self._mode
@@ -281,10 +269,10 @@ class Dist:
         return self._entries
 
     def __call__(self, point):
-        for p, v in self._entries:
-            if p == point:
-                return v
-        return zero(self._mode)
+        try:
+            return self._index[point]
+        except KeyError:
+            return zero(self._mode)
 
     def __eq__(self, other) -> bool:
         return (
@@ -350,19 +338,20 @@ def count_msets(n_points: int, size: int) -> int:
     return math.comb(size + n_points - 1, n_points - 1)
 
 
-def enumerate_msets(base: Iterable, size: int, cap: int | None = None) -> list[Multiset]:
+def enumerate_msets(base: Iterable, size: int) -> list[Multiset]:
     """All multisets of the given size over ``base``, in lexicographic order.
 
     The order is lexicographic on the nondecreasing element sequence of each
     multiset (``[2|0>, 1|0>+1|1>, 2|1>]`` for two points, size two).  Raises
-    :class:`ResourceLimit` when the stars-and-bars count exceeds the cap.
+    :class:`ResourceLimit` when the stars-and-bars count exceeds
+    :func:`mset_cap`.
     """
     points = sorted(set(base))
     if not points:
         raise EmptyMultiset("base must be non-empty")
     if size < 0:
         raise OutOfRange(f"size must be nonnegative, got {size}")
-    limit = mset_cap() if cap is None else cap
+    limit = mset_cap()
     n = count_msets(len(points), size)
     if n > limit:
         raise ResourceLimit(f"{n} multisets of size {size} exceed the cap {limit}")

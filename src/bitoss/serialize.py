@@ -11,10 +11,11 @@ Schemas:
 * dist      ``{"mode": "rational"|"float", "entries": [{"point": [..],
   "num": a, "den": b} | {"point": [..], "p": x}, ..]}``
 * grid      dist fields plus ``{"K": k, "N": n}``
-* channel   ``{"domain": [[..], ..], "kernel": [{"point": [..],
-  "dist": {..}}, ..]}``
 * EM state  ``{"K": k, "mixture": {..}, "coins": [{..}, ..]}``
 * EM trace  ``{"records": [{"iteration": i, "kl": x, "state": {..}}, ..]}``
+
+Multisets, distributions and grids are read back as well as written; EM
+states and traces are written only.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import json
 from fractions import Fraction
 
 from .binomials import GridDist
-from .channels import Channel
-from .em import EMRecord, EMState, EMTrace
+from .em import EMState, EMTrace
 from .kernel import Dist, FLOAT, Multiset, OutOfRange, RATIONAL
 
 
@@ -118,48 +118,12 @@ def grid_from_json(obj) -> GridDist:
         raise FormatError(f"bad grid document: {exc}") from exc
 
 
-def channel_to_json(chan: Channel) -> dict:
-    return {
-        "domain": [point_to_json(x) for x in chan.domain],
-        "kernel": [
-            {"point": point_to_json(x), "dist": dist_to_json(chan(x))}
-            for x in chan.domain
-        ],
-    }
-
-
-def channel_from_json(obj) -> Channel:
-    try:
-        kernel = {
-            point_from_json(e["point"]): dist_from_json(e["dist"])
-            for e in obj["kernel"]
-        }
-        return Channel(tuple(point_from_json(x) for x in obj["domain"]), kernel)
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"bad channel document: {exc}") from exc
-
-
 def emstate_to_json(state: EMState) -> dict:
     return {
         "K": state.tosses,
         "mixture": dist_to_json(state.mixture),
         "coins": [dist_to_json(c) for c in state.coins],
     }
-
-
-def emstate_from_json(obj) -> EMState:
-    try:
-        return EMState(
-            mixture=dist_from_json(obj["mixture"]),
-            coins=tuple(dist_from_json(c) for c in obj["coins"]),
-            tosses=obj["K"],
-        )
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"bad EM state document: {exc}") from exc
 
 
 def trace_to_json(trace: EMTrace) -> dict:
@@ -175,28 +139,13 @@ def trace_to_json(trace: EMTrace) -> dict:
     }
 
 
-def trace_from_json(obj) -> EMTrace:
-    try:
-        return EMTrace(
-            tuple(
-                EMRecord(r["iteration"], float(r["kl"]), emstate_from_json(r["state"]))
-                for r in obj["records"]
-            )
-        )
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"bad EM trace document: {exc}") from exc
-
-
 def grid_to_csv(grid: GridDist) -> str:
     """Probability matrix: row ``n1`` ascending, column ``n2`` ascending."""
     if grid.n_dim != 2:
         raise OutOfRange(f"CSV surfaces need a two-dimensional grid, got N={grid.n_dim}")
-    cells = dict(grid.dist.items())
     lines = []
     for n1 in range(grid.tosses + 1):
-        row = [repr(float(cells.get((n1, n2), 0))) for n2 in range(grid.tosses + 1)]
+        row = [repr(float(grid.dist((n1, n2)))) for n2 in range(grid.tosses + 1)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from bitoss.binomials import binomial, bivbin
 from bitoss.channels import Channel, dagger, push
@@ -107,6 +108,17 @@ class TestDagger:
         omega = Dist({0: 1})
         with pytest.raises(NotFullSupport):
             dagger(chan, omega, codomain=(0, 1))
+
+    @given(st.data())
+    def test_codomain_restricts_the_full_inversion(self, data):
+        omega = data.draw(rational_dists([0, 1, 2]))
+        chan = Channel((0, 1, 2), {x: data.draw(rational_dists("uvwz")) for x in (0, 1, 2)})
+        support = push(chan, omega).support()
+        pts = tuple(data.draw(st.lists(st.sampled_from(support), unique=True)))
+        part = dagger(chan, omega, pts)
+        full = dagger(chan, omega)
+        assert part.domain == pts
+        assert all(part(y) == full(y) for y in pts)
 
     def test_domain_restricted_to_pushforward_support(self):
         chan = Channel((0,), {0: Dist({5: 1})})

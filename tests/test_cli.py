@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bitoss.binomials import GridDist, bivbin
+from bitoss.binomials import Coin, GridDist, bivbin
 from bitoss.channels import Channel, push
 from bitoss.cli import main
 from bitoss.kernel import Dist, FLOAT, Multiset, to_float
@@ -66,6 +66,13 @@ class TestBivbin:
         doc = json.loads(out.read_text())
         assert (doc["K"], doc["N"], doc["mode"]) == (2000, 1, FLOAT)
         assert sum(e["p"] for e in doc["entries"]) == pytest.approx(1.0)
+
+    def test_csv_of_one_dimensional_coin_writes_nothing(self, tmp_path):
+        coin = tmp_path / "coin1.json"
+        coin.write_text(dumps(dist_to_json(Dist({0: 0.7, 1: 0.3}))))
+        out, csv = tmp_path / "g1.json", tmp_path / "g1.csv"
+        assert run("bivbin", "--coin", coin, "--K", 4, "--out", out, "--csv", csv) == 2
+        assert not out.exists() and not csv.exists()
 
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -224,6 +231,16 @@ class TestRecover:
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(dumps(grid_to_json(grid)))
         assert run("recover", "--grid", grid_path, "--K", 2) == 5
+
+    def test_one_dimensional_grid_is_usage_error(self, tmp_path):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(dumps(grid_to_json(bivbin(4, Coin(1, Dist({0: 0.7, 1: 0.3}))))))
+        assert run("recover", "--grid", grid_path, "--K", 4) == 2
+
+    def test_zero_tosses_is_usage_error(self, tmp_path):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(dumps(grid_to_json(GridDist(0, 2, Dist({(0, 0): 1})))))
+        assert run("recover", "--grid", grid_path, "--K", 0) == 2
 
     def test_infeasible_grid_clamped(self, tmp_path, capsys):
         grid = GridDist(2, 2, Dist({(2, 0): 0.5, (0, 2): 0.5}, mode=FLOAT))

@@ -146,10 +146,6 @@ class TestEnumeration:
             size + n_points - 1, n_points - 1
         )
 
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceLimit):
-            enumerate_msets(range(4), 3, cap=10)
-
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("BITOSS_MSET_CAP", "3")
         with pytest.raises(ResourceLimit):
