@@ -140,6 +140,24 @@ def flip(r) -> Coin:
     return Coin(1, Dist({1: r, 0: 1 - r}))
 
 
+def count_terms(tables, tosses: int):
+    """Integer multinomial terms over per-face tables: ``term(counts)`` is
+    ``tosses! / prod(m!) * prod(table[m])`` over the draw's face counts ``m``,
+    one table per face, each indexed by ``m`` from 0 to ``tosses``."""
+    fact = list(accumulate(range(1, tosses + 1), mul, initial=1))
+
+    def term(counts) -> int:
+        div = 1
+        for m in counts:
+            div *= fact[m]
+        num = fact[tosses] // div
+        for table, m in zip(tables, counts):
+            num *= table[m]
+        return num
+
+    return term
+
+
 def face_terms(weights, tosses: int, mode: str):
     """The multinomial term engine: ``(term, prob)`` for size-``tosses``
     draws from an urn with the given face weights.
@@ -157,20 +175,9 @@ def face_terms(weights, tosses: int, mode: str):
     span = range(tosses + 1)
     if mode == RATIONAL:
         den = math.lcm(*(w.denominator for w in weights))
-        fact = list(accumulate(range(1, tosses + 1), mul, initial=1))
         powers = [[int(w * den) ** m for m in span] for w in weights]
         scale = den**tosses
-
-        def term(counts) -> int:
-            div = 1
-            for m in counts:
-                div *= fact[m]
-            num = fact[tosses] // div
-            for table, m in zip(powers, counts):
-                num *= table[m]
-            return num
-
-        return term, lambda total: Fraction(total, scale)
+        return count_terms(powers, tosses), lambda total: Fraction(total, scale)
 
     log_fact = [math.lgamma(m + 1) for m in span]
     log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
@@ -257,6 +264,17 @@ def fiber_counts(tosses: int, n1: int, n2: int) -> list[tuple[int, int, int, int
         (tosses - n1 - n2 + j, n2 - j, n1 - j, j)
         for j in range(min(n1, n2), max(0, n1 + n2 - tosses) - 1, -1)
     ]
+
+
+def fiber_mean(draws, weights) -> tuple:
+    """Weighted mean face counts ``(#00, #01, #10, #11)`` of fiber draws, as
+    given by :func:`fiber_counts`: exact fractions for integer weights,
+    floats for float weights.  The weights need a positive sum."""
+    total = sum(weights)
+    sums = [sum(map(mul, weights, column)) for column in zip(*draws)]
+    if isinstance(total, int):
+        return tuple(Fraction(s, total) for s in sums)
+    return tuple(s / total for s in sums)
 
 
 def fiber(tosses: int, n1: int, n2: int) -> list[Multiset]:

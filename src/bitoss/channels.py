@@ -42,11 +42,6 @@ class Channel:
         if len(modes) > 1:
             raise ModeMismatch(f"kernel distributions mix modes {sorted(modes)}")
 
-    @classmethod
-    def from_function(cls, domain: Iterable, fn) -> "Channel":
-        dom = tuple(domain)
-        return cls(dom, {x: fn(x) for x in dom})
-
     @property
     def mode(self) -> str:
         return self.kernel[self.domain[0]].mode

@@ -52,7 +52,10 @@ def _load_json(path: str):
 
 
 def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _coin_from_file(path: str, expect_dim: int | None = None) -> binomials.Coin:
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--psi", required=True, help="pseudo-count multiset JSON")
     r.add_argument("--draw", required=True, help="observed multiset JSON")
 
-    r = rules.add_parser("bivbin-dirichlet", help="Dirichlet prior, heads pair")
+    r = rules.add_parser("bivbin-dirichlet", help="Dirichlet prior, heads pair: the paper's formula")
     r.add_argument("--psi", required=True, help="pseudo-count multiset JSON")
     r.add_argument("--K", required=True, type=int)
     r.add_argument("--n1", required=True, type=int)

@@ -127,7 +127,7 @@ class Multiset:
     """An immutable finite multiset: points with positive integer counts.
 
     Supports are kept sorted, zero multiplicities are never stored, and
-    ``+`` is the commutative monoid addition with :data:`EMPTY_MSET` as unit.
+    ``+`` is the commutative monoid addition with ``Multiset()`` as unit.
     Multisets are hashable and totally ordered (by their sorted entry
     tuples), so they can themselves serve as points of a distribution.
     """
@@ -202,9 +202,6 @@ class Multiset:
         if not self._entries:
             return "Multiset()"
         return " + ".join(f"{m}|{p}>" for p, m in self._entries)
-
-
-EMPTY_MSET = Multiset()
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ Each rule computes the mean of an inverted channel in closed form:
 * Poisson prior on the toss count with a binomial or bivariate binomial
   channel (imperfect detection of emitted particles).
 
-The Dirichlet prior with the bivariate binomial channel (heads pairs) has
-the paper's closed-form formula, :func:`bivbin_dirichlet_mean`, which is
-not the posterior mean in general; :func:`bivbin_dirichlet_mean_oracle`
-computes the exact posterior mean.
+Every heads-pair rule is a weighted mean over the fiber of the observed
+heads, :func:`~bitoss.binomials.fiber_mean`.  For the Dirichlet prior with
+the bivariate binomial channel, equal weights give the paper's closed-form
+formula, :func:`bivbin_dirichlet_mean`, which is not the posterior mean in
+general; Dirichlet-multinomial weights give the exact posterior mean,
+:func:`bivbin_dirichlet_mean_oracle`.  The tests check both against an
+independent reference that enumerates the fiber's multisets.
 
 Beta and Dirichlet parameters are restricted to positive integers, which
 keeps every result an exact rational.  The Poisson rules are float valued
@@ -23,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
-from .binomials import Coin, fiber
+from .binomials import Coin, count_terms, fiber_counts, fiber_mean
 from .kernel import (
     DegenerateObservation,
     Dist,
@@ -34,7 +39,6 @@ from .kernel import (
     TWO_BY_TWO,
     WrongSpace,
     flrn,
-    mset_coefficient,
 )
 
 POISSON_TAIL_TOL = 1e-9
@@ -115,66 +119,48 @@ def _check_two_by_two(params: DirichletParams) -> None:
         raise WrongSpace("parameters must have full support on {0,1} x {0,1}")
 
 
+def _fiber_update(params: DirichletParams, tosses: int, n1: int, n2: int, weight) -> Dist:
+    """``Flrn(psi + E[phi])``, with ``E`` weighting each draw ``phi`` in the
+    fiber of ``(n1, n2)`` by ``weight`` of its face counts."""
+    _check_two_by_two(params)
+    draws = fiber_counts(tosses, n1, n2)
+    counts = fiber_mean(draws, [weight(c) for c in draws])
+    size = params.psi.size + tosses
+    return Dist({p: (params.psi(p) + c) / size for p, c in zip(TWO_BY_TWO, counts)})
+
+
 def bivbin_dirichlet_mean(
     params: DirichletParams, tosses: int, n1: int, n2: int
 ) -> Dist:
     """The paper's closed-form formula for the two-coin after observing heads
     ``(n1, n2)``: ``Flrn`` of the sum of ``psi + phi`` over the fiber of
-    ``(n1, n2)``.
+    ``(n1, n2)``, i.e. ``Flrn(psi + E[phi])`` with equal weights.
 
-    This is not the posterior mean in general: it averages the fiber
-    draws' updated means with equal weights, where the posterior weights
-    them by their Dirichlet-multinomial probabilities.
+    This is not the posterior mean in general: the posterior weights the
+    fiber draws by their Dirichlet-multinomial probabilities.
     :func:`bivbin_dirichlet_mean_oracle` is the exact posterior mean; the
     two agree when those probabilities are equal, e.g. for a singleton
     fiber.
     """
-    _check_two_by_two(params)
-    draws = fiber(tosses, n1, n2)
-    total = Multiset()
-    for phi in draws:
-        total = total + params.psi + phi
-    return flrn(total)
-
-
-def _rising(a: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def dirichlet_multinomial_pmf(params: DirichletParams, phi: Multiset) -> Fraction:
-    """Probability of the draw ``phi`` with the urn integrated out.
-
-    With integer pseudo-counts the Gamma ratios collapse to rising
-    factorials, so the value is an exact rational.
-    """
-    num = mset_coefficient(phi)
-    for x, m in phi.items():
-        num *= _rising(params.psi(x), m)
-    return Fraction(num, _rising(params.psi.size, phi.size))
+    return _fiber_update(params, tosses, n1, n2, lambda counts: 1)
 
 
 def bivbin_dirichlet_mean_oracle(
     params: DirichletParams, tosses: int, n1: int, n2: int
 ) -> Dist:
-    """Exact posterior mean two-coin, weighting each fiber draw by its
-    Dirichlet-multinomial probability (independent of the closed form)."""
-    _check_two_by_two(params)
-    weights = []
-    means = []
-    for phi in fiber(tosses, n1, n2):
-        weights.append(dirichlet_multinomial_pmf(params, phi))
-        means.append(flrn(params.psi + phi))
-    total = sum(weights)
-    if total == 0:
-        raise DegenerateObservation(f"observation ({n1}, {n2}) has zero mass")
-    acc = {p: Fraction(0) for p in TWO_BY_TWO}
-    for w, mean in zip(weights, means):
-        for p in TWO_BY_TWO:
-            acc[p] += w * mean(p)
-    return Dist({p: v / total for p, v in acc.items()})
+    """Exact posterior mean two-coin after observing heads ``(n1, n2)``:
+    ``Flrn(psi + E[phi])`` with each fiber draw weighted by its
+    Dirichlet-multinomial probability.
+
+    With integer pseudo-counts that probability is the multinomial term
+    over rising-factorial tables, ``K!/prod(m!) * prod(psi(x)^(m))``, up to
+    the common ``|psi|^(K)``; a query costs O(K) exact integer terms.
+    """
+    rising = [
+        list(accumulate(range(params.psi(p), params.psi(p) + tosses), mul, initial=1))
+        for p in TWO_BY_TWO
+    ]
+    return _fiber_update(params, tosses, n1, n2, count_terms(rising, tosses))
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +168,20 @@ def bivbin_dirichlet_mean_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _poisson_log_pmf(rate: float, k: int) -> float:
+    """``log(e^(-rate) * rate^k / k!)``, ``-inf`` where the pmf is zero."""
+    if k < 0:
+        return -math.inf
+    if rate == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    return k * math.log(rate) - rate - math.lgamma(k + 1)
+
+
 def poisson_pmf(rate: float, k: int) -> float:
     """``e^(-rate) * rate^k / k!``, computed in log space."""
     if rate < 0:
         raise OutOfRange(f"rate must be >= 0, got {rate!r}")
-    if k < 0:
-        return 0.0
-    if rate == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
+    return math.exp(_poisson_log_pmf(rate, k))
 
 
 def default_truncation(rate: float) -> int:
@@ -236,16 +227,13 @@ def binomial_poisson_mean(detect_prob: float, rate: float, detected: int) -> flo
 
 def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
     """Expected toss count given per-coordinate heads ``(n1, n2)`` of a
-    two-coin, with a Poisson prior on the toss count.
+    two-coin, with a Poisson prior on the toss count:
 
-    For ``n1 <= n2`` the closed form is
+        g(0,0)*rate + n1 + n2 - E[#11],
 
-        n2 + g(0,0)*rate + (sum_i ppp(i)*i) / (sum_i ppp(i)),
-        ppp(i) = pois[g(0,1)*rate](n2-n1+i)
-               * pois[g(1,0)*rate](i) * pois[g(1,1)*rate](n1-i),
-
-    summing ``i`` from 0 to ``n1``; for ``n2 < n1`` the coordinates (and the
-    off-diagonal coin entries) swap roles.
+    where ``E`` weights the fiber draws of ``n1 + n2`` tosses, whose faces
+    01, 10, 11 count ``(n2-j, n1-j, j)``, by the product of those faces'
+    Poisson pmfs at rates ``g(f)*rate``, normalised in log space.
     """
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
@@ -253,27 +241,19 @@ def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
         raise OutOfRange(f"rate must be >= 0, got {rate!r}")
     if n1 < 0 or n2 < 0:
         raise OutOfRange(f"observed heads must be >= 0, got ({n1}, {n2})")
-    g = coin.dist
-    g00, g01, g10, g11 = (float(g(p)) for p in TWO_BY_TWO)
-    if n2 < n1:
-        n1, n2 = n2, n1
-        g01, g10 = g10, g01
-
-    def ppp(i: int) -> float:
-        return (
-            poisson_pmf(g01 * rate, n2 - n1 + i)
-            * poisson_pmf(g10 * rate, i)
-            * poisson_pmf(g11 * rate, n1 - i)
-        )
-
-    weights = [ppp(i) for i in range(n1 + 1)]
-    denom = sum(weights)
-    if denom <= 0.0:
+    rate00, *rates = (float(coin.dist(p)) * rate for p in TWO_BY_TWO)
+    draws = fiber_counts(n1 + n2, n1, n2)
+    logs = [
+        sum(_poisson_log_pmf(r, m) for r, m in zip(rates, counts[1:]))
+        for counts in draws
+    ]
+    top = max(logs)
+    if top == -math.inf:
         raise DegenerateObservation(
             f"observation ({n1}, {n2}) is impossible under this coin and rate"
         )
-    shift = sum(i * w for i, w in enumerate(weights)) / denom
-    return n2 + g00 * rate + shift
+    weights = [math.exp(v - top) for v in logs]
+    return rate00 + n1 + n2 - fiber_mean(draws, weights)[3]
 
 
 def truncated_dagger_mean(

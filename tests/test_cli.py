@@ -99,6 +99,16 @@ class TestBivbin:
         monkeypatch.setenv("BITOSS_MSET_CAP", "5")
         assert run("bivbin", "--coin", coin3, "--K", 3, "--out", tmp_path / "o.json") == 3
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, coin_file, capsys):
+        out = tmp_path / "missing" / "grid.json"
+        assert run("bivbin", "--coin", coin_file, "--K", 3, "--out", out) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_unwritable_csv_is_usage_error(self, tmp_path, coin_file, capsys):
+        out, csv = tmp_path / "grid.json", tmp_path / "missing" / "grid.csv"
+        assert run("bivbin", "--coin", coin_file, "--K", 3, "--out", out, "--csv", csv) == 2
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestSample:
     def test_zero_draws(self, tmp_path, coin_file):
@@ -136,6 +146,11 @@ class TestSample:
         low = sum(m for p, m in drawn.items() if p[0] <= 7)
         assert drawn.size == 1000
         assert abs(low / 1000 - 1 / 3) < 0.05
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, coin_file, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert run("sample", "--dist", coin_file, "--n", 5, "--seed", 1, "--out", out) == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestEm:
@@ -207,6 +222,17 @@ class TestEm:
             )
             outs.append((out.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, flag, capsys):
+        paths = {"--out": tmp_path / "s.json", "--trace": tmp_path / "t.csv"}
+        paths[flag] = tmp_path / "missing" / "x"
+        code = run(
+            "em", "--data", self.make_data(tmp_path, n=50), "--K", 8, "--classes", 1,
+            "--iters", 1, "--seed", 1, "--out", paths["--out"], "--trace", paths["--trace"],
+        )
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestRecover:
@@ -293,6 +319,16 @@ class TestSuccession:
         ) == 0
         mean = json.loads(capsys.readouterr().out)["mean"]
         assert mean == pytest.approx(3.419117647058824, abs=1e-12)
+
+    def test_poisson_bivbin_at_large_rate(self, tmp_path, capsys):
+        coin = tmp_path / "uniform.json"
+        quarter = {p: Fraction(1, 4) for p in EXAMPLE_COIN.dist.support()}
+        coin.write_text(dumps(dist_to_json(Dist(quarter))))
+        assert run(
+            "succession", "poisson-bivbin", "--coin", coin, "--rate", 1e6, "--n1", 1, "--n2", 2
+        ) == 0
+        mean = json.loads(capsys.readouterr().out)["mean"]
+        assert mean == pytest.approx(250_000 + 3 - 1 / 125_001, rel=1e-12)
 
     def test_bad_params(self, capsys):
         assert run("succession", "beta", "--alpha", 0, "--beta", 1, "--K", 1, "--n", 0) == 2

@@ -11,7 +11,9 @@ from bitoss.kernel import (
     Multiset,
     OutOfRange,
     WrongSpace,
+    enumerate_msets,
     flrn,
+    mset_coefficient,
 )
 from bitoss.succession import (
     BetaParams,
@@ -24,7 +26,6 @@ from bitoss.succession import (
     bivbin_dirichlet_mean_oracle,
     bivbin_poisson_mean,
     default_truncation,
-    dirichlet_multinomial_pmf,
     dirichlet_succession_mean,
     dirichlet_update,
     poisson_pmf,
@@ -33,6 +34,51 @@ from bitoss.succession import (
 
 
 UNIFORM_PSI = Multiset({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+
+
+# Independent references for the heads-pair Dirichlet rules: they build
+# every fiber draw as a multiset and take its Dirichlet-multinomial
+# probability from rising factorials, without the library's fiber_mean and
+# count_terms.
+
+
+def _rising(a: int, k: int) -> int:
+    out = 1
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def dirichlet_multinomial_pmf(params: DirichletParams, phi: Multiset) -> Fraction:
+    """Probability of the draw ``phi`` with the urn integrated out."""
+    num = mset_coefficient(phi)
+    for x, m in phi.items():
+        num *= _rising(params.psi(x), m)
+    return Fraction(num, _rising(params.psi.size, phi.size))
+
+
+def reference_formula(params: DirichletParams, tosses: int, n1: int, n2: int) -> Dist:
+    """The paper's formula: ``Flrn`` of the sum of ``psi + phi`` over the fiber."""
+    total = Multiset()
+    for phi in fiber(tosses, n1, n2):
+        total = total + params.psi + phi
+    return flrn(total)
+
+
+def reference_posterior(params: DirichletParams, tosses: int, n1: int, n2: int) -> Dist:
+    """The posterior mean: ``Flrn(psi + phi)`` averaged over the fiber with
+    Dirichlet-multinomial weights."""
+    weights = []
+    means = []
+    for phi in fiber(tosses, n1, n2):
+        weights.append(dirichlet_multinomial_pmf(params, phi))
+        means.append(flrn(params.psi + phi))
+    total = sum(weights)
+    acc = {p: Fraction(0) for p in UNIFORM_PSI.support()}
+    for w, mean in zip(weights, means):
+        for p in acc:
+            acc[p] += w * mean(p)
+    return Dist({p: v / total for p, v in acc.items()})
 
 
 class TestBeta:
@@ -116,8 +162,6 @@ class TestBivbinDirichlet:
         assert got == flrn(Multiset({(0, 0): 1, (0, 1): 1, (1, 0): 3, (1, 1): 1}))
 
     def test_oracle_pmf_normalizes(self):
-        from bitoss.kernel import enumerate_msets
-
         d = DirichletParams(Multiset({(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 3}))
         for draws in range(4):
             total = sum(
@@ -198,6 +242,27 @@ class TestBivbinDirichlet:
             }
         )
         assert formula != oracle
+
+    def test_engine_matches_multiset_references(self):
+        rng = random.Random(6)
+        for _ in range(8):
+            d = DirichletParams(Multiset({p: rng.randint(1, 6) for p in UNIFORM_PSI.support()}))
+            for tosses in range(7):
+                for n1 in range(tosses + 1):
+                    for n2 in range(tosses + 1):
+                        assert bivbin_dirichlet_mean(d, tosses, n1, n2) == reference_formula(
+                            d, tosses, n1, n2
+                        )
+                        assert bivbin_dirichlet_mean_oracle(
+                            d, tosses, n1, n2
+                        ) == reference_posterior(d, tosses, n1, n2)
+
+    def test_exact_posterior_at_large_K(self):
+        # the fiber has 101 draws; the reference enumerates them one by one
+        d = DirichletParams(Multiset({(0, 0): 2, (0, 1): 5, (1, 0): 1, (1, 1): 3}))
+        assert bivbin_dirichlet_mean_oracle(d, 200, 100, 120) == reference_posterior(
+            d, 200, 100, 120
+        )
 
     def test_full_support_required(self):
         with pytest.raises(WrongSpace):
@@ -286,6 +351,16 @@ class TestBivbinPoisson:
                 closed = bivbin_poisson_mean(coin, 1.5, n1, n2)
                 brute = truncated_dagger_mean(_cell_channel(coin), prior, (n1, n2))
                 assert abs(closed - brute) <= 1e-6
+
+    def test_large_rate_does_not_underflow(self):
+        # rate 1e6 on a uniform coin: each face rate is 250000, the draws of
+        # faces 01, 10, 11 are (1, 0, 1) and (2, 1, 0), weighted 1 : rate/8,
+        # so E[#11] = 1/125001
+        coin = two_coin(*(Fraction(1, 4),) * 4)
+        expected = 250_000 + 3 - 1 / 125_001
+        for n1, n2 in ((1, 2), (2, 1)):
+            got = bivbin_poisson_mean(coin, 1e6, n1, n2)
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_observation(self):
         coin = two_coin(0.5, 0.0, 0.25, 0.25)
