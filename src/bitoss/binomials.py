@@ -90,11 +90,7 @@ class Coin:
             raise OutOfRange(f"coordinate {coord} out of range for N={self.n_dim}")
         if self.n_dim == 1:
             return self.dist(1)
-        total = zero(self.dist.mode)
-        for p, v in self.dist.items():
-            if p[coord] == 1:
-                total += v
-        return total
+        return dist_map(lambda p: p[coord], self.dist)(1)
 
 
 @dataclass(frozen=True)
@@ -124,11 +120,7 @@ def two_coin(p00, p01, p10, p11) -> Coin:
 
 
 def _check_probability(r):
-    if isinstance(r, float):
-        if not 0.0 <= r <= 1.0:
-            raise OutOfRange(f"probability {r!r} outside [0, 1]")
-        return r
-    r = coerce_scalar(r, RATIONAL)
+    r = coerce_scalar(r, FLOAT if isinstance(r, float) else RATIONAL)
     if not 0 <= r <= 1:
         raise OutOfRange(f"probability {r!r} outside [0, 1]")
     return r

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,11 +52,22 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_all(outputs: dict[str, str]) -> None:
+    """Write all ``path: text`` outputs or none: each goes to a temporary file
+    beside its path, which replaces the path once every one is written."""
+    temps = {path: Path(f"{path}.{os.getpid()}.tmp") for path in outputs}
     try:
-        Path(path).write_text(text)
+        for path, text in outputs.items():
+            if Path(path).is_dir():
+                raise IsADirectoryError("is a directory")
+            temps[path].write_text(text)
+        for path, tmp in temps.items():
+            tmp.replace(path)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp in filter(Path.exists, temps.values()):
+            tmp.unlink()
 
 
 def _coin_from_file(path: str, expect_dim: int | None = None) -> binomials.Coin:
@@ -98,9 +110,10 @@ def cmd_bivbin(args) -> int:
     if args.csv and coin.n_dim != 2:
         raise UsageError("--csv needs a two-dimensional grid")
     grid = binomials.bivbin(args.K, coin)
-    _write_text(args.out, serialize.dumps(serialize.grid_to_json(grid)))
+    outputs = {args.out: serialize.dumps(serialize.grid_to_json(grid))}
     if args.csv:
-        _write_text(args.csv, serialize.grid_to_csv(grid))
+        outputs[args.csv] = serialize.grid_to_csv(grid)
+    _write_all(outputs)
     return EXIT_OK
 
 
@@ -109,7 +122,7 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--n must be >= 0, got {args.n}")
     dist = serialize.dist_from_json(_load_json(args.dist))
     drawn = kernel_sample(dist, args.n, args.seed)
-    _write_text(args.out, serialize.dumps(serialize.multiset_to_json(drawn)))
+    _write_all({args.out: serialize.dumps(serialize.multiset_to_json(drawn))})
     return EXIT_OK
 
 
@@ -120,10 +133,11 @@ def cmd_em(args) -> int:
         raise UsageError(f"--classes must be >= 1, got {args.classes}")
     data = serialize.multiset_from_json(_load_json(args.data))
     trace = em.em_run(data, args.classes, args.K, args.iters, args.seed)
-    _write_text(args.out, serialize.dumps(serialize.emstate_to_json(trace.final_state)))
-    _write_text(args.trace, serialize.trace_to_csv(trace))
+    state = serialize.dumps(serialize.emstate_to_json(trace.final_state))
+    outputs = {args.out: state, args.trace: serialize.trace_to_csv(trace)}
     if args.trace_json:
-        _write_text(args.trace_json, serialize.dumps(serialize.trace_to_json(trace)))
+        outputs[args.trace_json] = serialize.dumps(serialize.trace_to_json(trace))
+    _write_all(outputs)
     return EXIT_OK
 
 

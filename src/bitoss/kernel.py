@@ -15,7 +15,8 @@ Probabilities come in two modes that are never mixed silently:
 * ``"float"``, IEEE-754 doubles, for EM, KL divergence, and Poisson work.
 
 Operations that combine two distributions require equal modes and raise
-:class:`ModeMismatch` otherwise.
+:class:`ModeMismatch` otherwise.  Exact sums run on integer numerators over
+one common denominator (:func:`exact_weights`), not as `Fraction` adds.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import os
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
 
 RATIONAL = "rational"
@@ -95,6 +97,9 @@ def coerce_scalar(value, mode: str):
     Plain ``int`` is mode-agnostic and converts either way; `Fraction` only
     enters rational mode and `float` only float mode.
     """
+    kind = type(value)
+    if (kind is Fraction and mode == RATIONAL) or (kind is float and mode == FLOAT):
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
         raise OutOfRange(f"not a supported scalar: {value!r}")
     if mode == RATIONAL:
@@ -106,6 +111,18 @@ def coerce_scalar(value, mode: str):
             raise ModeMismatch(f"Fraction {value!r} in float-mode computation")
         return float(value)
     raise OutOfRange(f"unknown mode {mode!r}")
+
+
+def exact_weights(values: Iterable, mode: str) -> tuple[list, Callable]:
+    """``(weights, finish)``: ``finish`` of any integer combination of the
+    weights is that combination of ``values``.  Rational weights are integer
+    numerators over the least common denominator ``L``, ``finish(s) =
+    Fraction(s, L)``; float weights are the values, ``finish`` the identity."""
+    values = list(values)
+    if mode != RATIONAL:
+        return values, lambda s: s
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], lambda s: Fraction(s, den)
 
 
 def zero(mode: str):
@@ -230,10 +247,11 @@ class Dist:
             if prob < 0:
                 raise OutOfRange(f"negative probability {prob} at {point!r}")
             if prob > 0:
-                acc[point] = acc.get(point, zero(mode)) + prob
+                acc[point] = acc[point] + prob if point in acc else prob
         if not acc:
             raise NotNormalized("a distribution needs positive total mass")
-        total = sum(acc.values())
+        weights, finish = exact_weights(acc.values(), mode)
+        total = finish(sum(weights))
         if mode == RATIONAL:
             if total != 1:
                 raise NotNormalized(f"rational probabilities sum to {total}, not 1")
@@ -383,11 +401,12 @@ def mset_coefficient(phi: Multiset) -> int:
 
 def dist_map(f: Callable, omega: Dist) -> Dist:
     """Push a distribution forward along a function on points."""
+    weights, finish = exact_weights((v for _, v in omega.items()), omega.mode)
     acc: dict = {}
-    for p, v in omega.items():
+    for (p, _), w in zip(omega.items(), weights):
         q = f(p)
-        acc[q] = acc.get(q, zero(omega.mode)) + v
-    return Dist(acc, mode=omega.mode)
+        acc[q] = acc[q] + w if q in acc else w
+    return Dist({q: finish(w) for q, w in acc.items()}, mode=omega.mode)
 
 
 def _is_int_point(p) -> bool:
@@ -496,15 +515,15 @@ class Moments(NamedTuple):
 
 def moments(omega: Dist) -> Moments:
     """Mean vector, variance vector, and covariance matrix of a distribution
-    on numeric points, via validities of coordinate projections."""
+    on numeric points, from coordinate sums over :func:`exact_weights`."""
     coords = [point_coords(p) for p in omega.support()]
     dim = len(coords[0])
     if any(len(c) != dim for c in coords):
         raise WrongSpace("points have inconsistent dimensions")
-    probs = [v for _, v in omega.items()]
-    mean = tuple(sum(v * c[i] for v, c in zip(probs, coords)) for i in range(dim))
+    weights, finish = exact_weights((v for _, v in omega.items()), omega.mode)
+    mean = tuple(finish(sum(w * c[i] for w, c in zip(weights, coords))) for i in range(dim))
     second = [
-        [sum(v * c[i] * c[j] for v, c in zip(probs, coords)) for j in range(dim)]
+        [finish(sum(w * c[i] * c[j] for w, c in zip(weights, coords))) for j in range(dim)]
         for i in range(dim)
     ]
     cov = tuple(
@@ -565,13 +584,9 @@ def sample(omega: Dist, n: int, seed: int) -> Multiset:
     """
     if n < 0:
         raise OutOfRange(f"sample size must be nonnegative, got {n}")
-    points = []
-    cum = []
-    running = zero(omega.mode)
-    for p, v in omega.items():
-        running += v
-        points.append(p)
-        cum.append(running)
+    points = omega.support()
+    weights, finish = exact_weights((v for _, v in omega.items()), omega.mode)
+    cum = [finish(c) for c in accumulate(weights)]
     acc: dict = {}
     denom = 1 << 64
     for i in range(n):

@@ -179,8 +179,8 @@ def _poisson_log_pmf(rate: float, k: int) -> float:
 
 def poisson_pmf(rate: float, k: int) -> float:
     """``e^(-rate) * rate^k / k!``, computed in log space."""
-    if rate < 0:
-        raise OutOfRange(f"rate must be >= 0, got {rate!r}")
+    if not 0 <= rate < math.inf:
+        raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
     return math.exp(_poisson_log_pmf(rate, k))
 
 
@@ -191,15 +191,13 @@ def default_truncation(rate: float) -> int:
 
 @dataclass(frozen=True)
 class PoissonParams:
-    """Poisson rate plus the explicit truncation used by the brute-force
-    inversion; the truncated mass must be at least ``1 - 1e-9``."""
+    """Poisson rate (checked by :func:`poisson_pmf`) plus the truncation of
+    the brute-force inversion, which must keep at least ``1 - 1e-9`` of the mass."""
 
     rate: float
     truncation: int
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise OutOfRange(f"rate must be >= 0, got {self.rate!r}")
         if self.truncation < 0:
             raise OutOfRange(f"truncation must be >= 0, got {self.truncation!r}")
         mass = sum(poisson_pmf(self.rate, k) for k in range(self.truncation + 1))
@@ -218,8 +216,8 @@ def binomial_poisson_mean(detect_prob: float, rate: float, detected: int) -> flo
     a detector of efficiency ``detect_prob``: ``n + (1 - r) * rate``."""
     if not 0.0 <= detect_prob <= 1.0:
         raise OutOfRange(f"detection probability {detect_prob!r} outside [0, 1]")
-    if rate < 0:
-        raise OutOfRange(f"rate must be >= 0, got {rate!r}")
+    if not 0 <= rate < math.inf:
+        raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
     if detected < 0:
         raise OutOfRange(f"detected count must be >= 0, got {detected}")
     return detected + (1.0 - detect_prob) * rate
@@ -237,8 +235,8 @@ def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
     """
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    if rate < 0:
-        raise OutOfRange(f"rate must be >= 0, got {rate!r}")
+    if not 0 <= rate < math.inf:
+        raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
     if n1 < 0 or n2 < 0:
         raise OutOfRange(f"observed heads must be >= 0, got ({n1}, {n2})")
     rate00, *rates = (float(coin.dist(p)) * rate for p in TWO_BY_TWO)

@@ -108,6 +108,27 @@ class TestBivbin:
         out, csv = tmp_path / "grid.json", tmp_path / "missing" / "grid.csv"
         assert run("bivbin", "--coin", coin_file, "--K", 3, "--out", out, "--csv", csv) == 2
         assert "cannot write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json"]
+
+    def test_unwritable_csv_keeps_existing_out(self, tmp_path, coin_file):
+        out, csv = tmp_path / "grid.json", tmp_path / "missing" / "grid.csv"
+        out.write_bytes(b"earlier grid")
+        assert run("bivbin", "--coin", coin_file, "--K", 3, "--out", out, "--csv", csv) == 2
+        assert out.read_bytes() == b"earlier grid"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json", "grid.json"]
+
+    def test_csv_below_a_file_writes_nothing(self, tmp_path, coin_file, capsys):
+        out, csv = tmp_path / "grid.json", coin_file / "grid.csv"
+        assert run("bivbin", "--coin", coin_file, "--K", 3, "--out", out, "--csv", csv) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json"]
+
+    def test_directory_csv_writes_nothing(self, tmp_path, coin_file, capsys):
+        out, csv = tmp_path / "grid.json", tmp_path / "surface"
+        csv.mkdir()
+        assert run("bivbin", "--coin", coin_file, "--K", 3, "--out", out, "--csv", csv) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json", "surface"]
 
 
 class TestSample:
@@ -234,6 +255,17 @@ class TestEm:
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_unwritable_trace_json_writes_nothing(self, tmp_path, capsys):
+        data = self.make_data(tmp_path, n=50)
+        code = run(
+            "em", "--data", data, "--K", 8, "--classes", 1, "--iters", 1, "--seed", 1,
+            "--out", tmp_path / "state.json", "--trace", tmp_path / "trace.csv",
+            "--trace-json", tmp_path / "missing" / "t.json",
+        )
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json"]
+
 
 class TestRecover:
     def test_round_trip_via_files(self, tmp_path, coin_file, capsys):
@@ -329,6 +361,15 @@ class TestSuccession:
         ) == 0
         mean = json.loads(capsys.readouterr().out)["mean"]
         assert mean == pytest.approx(250_000 + 3 - 1 / 125_001, rel=1e-12)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_is_usage_error(self, coin_file, rate, capsys):
+        assert run("succession", "poisson-binomial", "--r", 0.5, f"--rate={rate}", "--n", 2) == 2
+        assert run(
+            "succession", "poisson-bivbin", "--coin", coin_file, f"--rate={rate}",
+            "--n1", 1, "--n2", 2,
+        ) == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_params(self, capsys):
         assert run("succession", "beta", "--alpha", 0, "--beta", 1, "--K", 1, "--n", 0) == 2

@@ -12,9 +12,11 @@ from bitoss.kernel import (
     Multiset,
     NotNormalized,
     OutOfRange,
+    RATIONAL,
     ResourceLimit,
     SupportMismatch,
     WrongSpace,
+    coerce_scalar,
     convolve,
     count_msets,
     dist_map,
@@ -30,7 +32,7 @@ from bitoss.kernel import (
     to_float,
     validity,
 )
-from bitoss.binomials import binomial, flip
+from bitoss.binomials import binomial, bivbin, flip, two_coin
 
 from conftest import EXAMPLE_COIN, multisets, rational_dists
 
@@ -202,6 +204,48 @@ class TestDist:
         d = to_float(Dist({0: Fraction(1, 4), 1: Fraction(3, 4)}))
         assert d.mode == FLOAT and d(0) == 0.25
 
+    def test_near_miss_not_normalized(self):
+        third = Fraction(1, 3)
+        with pytest.raises(NotNormalized):
+            Dist({"a": third, "b": third, "c": third - Fraction(1, 10**300)})
+
+    def test_prime_denominators_off_by_their_product(self):
+        primes = [p for p in range(1000, 1400) if all(p % d for d in range(2, 38))][:50]
+        assert len(primes) == 50
+        parts = {p: Fraction(1, p) for p in primes}
+        rest = 1 - sum(parts.values())
+        Dist({**parts, 0: rest})
+        with pytest.raises(NotNormalized):
+            Dist({**parts, 0: rest - Fraction(1, math.prod(primes))})
+
+
+class TestCoerceScalar:
+    def test_rejects_bool(self):
+        for mode in (RATIONAL, FLOAT):
+            with pytest.raises(OutOfRange):
+                coerce_scalar(True, mode)
+
+    def test_rejects_cross_mode(self):
+        with pytest.raises(ModeMismatch):
+            coerce_scalar(Fraction(1, 2), FLOAT)
+        with pytest.raises(ModeMismatch):
+            coerce_scalar(0.5, RATIONAL)
+
+    def test_rejects_unknown_mode(self):
+        for value in (Fraction(1, 2), 0.5, 1):
+            with pytest.raises(OutOfRange):
+                coerce_scalar(value, "decimal")
+
+    def test_converts_subclasses_and_ints(self):
+        class Half(float):
+            pass
+
+        got = coerce_scalar(Half(0.5), FLOAT)
+        assert type(got) is float and got == 0.5
+        assert type(coerce_scalar(3, FLOAT)) is float
+        got = coerce_scalar(3, RATIONAL)
+        assert type(got) is Fraction and got == 3
+
 
 # ---------------------------------------------------------------------------
 # dist_map / tensor / is_entwined
@@ -218,6 +262,20 @@ class TestDistMap:
         assert dist_map(lambda p: p[0], tau) == Dist(
             {0: Fraction(1, 2), 1: Fraction(1, 2)}
         )
+
+    @given(rational_dists([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2)]))
+    def test_matches_summing_reference(self, omega):
+        # a plain per-target accumulation, exact for Fractions and in the
+        # same order for floats, so float results agree bit for bit
+        def reference(f, dist):
+            acc = {}
+            for p, v in dist.items():
+                acc[f(p)] = acc.get(f(p), 0) + v
+            return Dist(acc, mode=dist.mode)
+
+        for f in (lambda p: p[0] + p[1], lambda p: p[0], lambda p: 0):
+            assert dist_map(f, omega) == reference(f, omega)
+            assert dist_map(f, to_float(omega)) == reference(f, to_float(omega))
 
     @given(rational_dists([(0, 0), (0, 1), (1, 0), (1, 1)]))
     def test_preserves_normalization_exactly(self, omega):
@@ -355,6 +413,15 @@ class TestMoments:
     def test_binomial_variance(self):
         got = moments(binomial(4, Fraction(1, 2)))
         assert got.var == (1,)
+
+    @pytest.mark.parametrize(
+        "coin",
+        [EXAMPLE_COIN, two_coin(Fraction(7, 31), 0, Fraction(11, 31), Fraction(13, 31))],
+    )
+    def test_grid_is_sixty_times_the_coin(self, coin):
+        grid, face = moments(bivbin(60, coin).dist), moments(coin.dist)
+        assert grid.mean == tuple(60 * m for m in face.mean)
+        assert grid.cov == tuple(tuple(60 * c for c in row) for row in face.cov)
 
     @given(rational_dists([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]))
     def test_agrees_with_double_loop(self, omega):

@@ -283,6 +283,15 @@ class TestPoissonPmf:
         total = sum(poisson_pmf(3.5, k) for k in range(200))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(OutOfRange):
+            poisson_pmf(rate, 2)
+        with pytest.raises(OutOfRange):
+            binomial_poisson_mean(0.5, rate, 2)
+        with pytest.raises(OutOfRange):
+            bivbin_poisson_mean(two_coin(*(Fraction(1, 4),) * 4), rate, 1, 2)
+
     def test_params_validation(self):
         with pytest.raises(OutOfRange):
             PoissonParams(5.0, 2)  # keeps far too little mass
