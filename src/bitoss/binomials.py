@@ -197,12 +197,8 @@ def multinomial(draws: int, omega: Dist) -> Dist:
     from the urn ``omega``."""
     faces = omega.support()
     term, prob = face_terms([v for _, v in omega.items()], draws, omega.mode)
-    acc = {}
-    for phi in enumerate_msets(faces, draws):
-        p = prob(term([phi(x) for x in faces]))
-        if p > 0:
-            acc[phi] = p
-    return Dist(acc, mode=omega.mode)
+    msets = enumerate_msets(faces, draws)
+    return Dist([(phi, prob(term([phi(x) for x in faces]))) for phi in msets], mode=omega.mode)
 
 
 def heads(phi: Multiset, n_dim: int | None = None):
@@ -310,13 +306,9 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     full multinomial.
     """
     cell = _cell_probability(tosses, coin)
-    acc = {}
-    for n1 in range(tosses + 1):
-        for n2 in range(tosses + 1):
-            p = cell(n1, n2)
-            if p > 0:
-                acc[(n1, n2)] = p
-    return GridDist(tosses, 2, Dist(acc, mode=coin.dist.mode))
+    span = range(tosses + 1)
+    cells = [((n1, n2), cell(n1, n2)) for n1 in span for n2 in span]
+    return GridDist(tosses, 2, Dist(cells, mode=coin.dist.mode))
 
 
 def bivbin_tails(tosses: int, coin: Coin) -> GridDist:

@@ -17,7 +17,6 @@ from .kernel import (
     DomainMismatch,
     ModeMismatch,
     NotFullSupport,
-    zero,
 )
 
 
@@ -57,12 +56,8 @@ def push(chan: Channel, omega: Dist) -> Dist:
     """Pushforward: mix the kernel distributions with weights ``omega``."""
     if omega.mode != chan.mode:
         raise ModeMismatch(f"prior is {omega.mode} but channel is {chan.mode}")
-    acc: dict = {}
-    for x, w in omega.items():
-        dist = chan(x)
-        for y, v in dist.items():
-            acc[y] = acc.get(y, zero(omega.mode)) + w * v
-    return Dist(acc, mode=omega.mode)
+    mixed = [(y, w * v) for x, w in omega.items() for y, v in chan(x).items()]
+    return Dist(mixed, mode=omega.mode)
 
 
 def dagger(chan: Channel, omega: Dist, codomain: Iterable | None = None) -> Channel:
@@ -85,10 +80,6 @@ def dagger(chan: Channel, omega: Dist, codomain: Iterable | None = None) -> Chan
     kernel = {}
     for y in points:
         py = predicted(y)
-        post = {}
-        for x, wx in omega.items():
-            joint = wx * chan(x)(y)
-            if joint > 0:
-                post[x] = joint / py
+        post = [(x, wx * chan(x)(y) / py) for x, wx in omega.items()]
         kernel[y] = Dist(post, mode=omega.mode)
     return Channel(points, kernel)

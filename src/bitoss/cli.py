@@ -52,21 +52,28 @@ def _load_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_all(outputs: dict[str, str]) -> None:
-    """Write all ``path: text`` outputs or none: each goes to a temporary file
-    beside its path, which replaces the path once every one is written."""
-    temps = {path: Path(f"{path}.{os.getpid()}.tmp") for path in outputs}
+def _write_all(outputs: list[tuple[str, str]]) -> None:
+    """Write all ``(path, text)`` outputs or none: each goes to a temporary file
+    beside its path, which replaces the path once every one is written.  Two
+    outputs that resolve to one file are refused before anything is written."""
+    named: dict = {}
+    for path, _ in outputs:
+        target = os.path.realpath(path)
+        if target in named:
+            raise UsageError(f"outputs {named[target]} and {path} name the same file")
+        named[target] = path
+    temps = [Path(f"{path}.{os.getpid()}.tmp") for path, _ in outputs]
     try:
-        for path, text in outputs.items():
+        for (path, text), tmp in zip(outputs, temps):
             if Path(path).is_dir():
                 raise IsADirectoryError("is a directory")
-            temps[path].write_text(text)
-        for path, tmp in temps.items():
+            tmp.write_text(text)
+        for (path, _), tmp in zip(outputs, temps):
             tmp.replace(path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        for tmp in filter(Path.exists, temps.values()):
+        for tmp in filter(Path.exists, temps):
             tmp.unlink()
 
 
@@ -110,9 +117,9 @@ def cmd_bivbin(args) -> int:
     if args.csv and coin.n_dim != 2:
         raise UsageError("--csv needs a two-dimensional grid")
     grid = binomials.bivbin(args.K, coin)
-    outputs = {args.out: serialize.dumps(serialize.grid_to_json(grid))}
+    outputs = [(args.out, serialize.dumps(serialize.grid_to_json(grid)))]
     if args.csv:
-        outputs[args.csv] = serialize.grid_to_csv(grid)
+        outputs.append((args.csv, serialize.grid_to_csv(grid)))
     _write_all(outputs)
     return EXIT_OK
 
@@ -122,7 +129,7 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--n must be >= 0, got {args.n}")
     dist = serialize.dist_from_json(_load_json(args.dist))
     drawn = kernel_sample(dist, args.n, args.seed)
-    _write_all({args.out: serialize.dumps(serialize.multiset_to_json(drawn))})
+    _write_all([(args.out, serialize.dumps(serialize.multiset_to_json(drawn)))])
     return EXIT_OK
 
 
@@ -134,9 +141,9 @@ def cmd_em(args) -> int:
     data = serialize.multiset_from_json(_load_json(args.data))
     trace = em.em_run(data, args.classes, args.K, args.iters, args.seed)
     state = serialize.dumps(serialize.emstate_to_json(trace.final_state))
-    outputs = {args.out: state, args.trace: serialize.trace_to_csv(trace)}
+    outputs = [(args.out, state), (args.trace, serialize.trace_to_csv(trace))]
     if args.trace_json:
-        outputs[args.trace_json] = serialize.dumps(serialize.trace_to_json(trace))
+        outputs.append((args.trace_json, serialize.dumps(serialize.trace_to_json(trace))))
     _write_all(outputs)
     return EXIT_OK
 

@@ -17,6 +17,11 @@ Probabilities come in two modes that are never mixed silently:
 Operations that combine two distributions require equal modes and raise
 :class:`ModeMismatch` otherwise.  Exact sums run on integer numerators over
 one common denominator (:func:`exact_weights`), not as `Fraction` adds.
+
+The :class:`Dist` and :class:`Multiset` constructors are the one place that
+adds up repeated points: pushforwards, mixtures and convolutions hand them
+``(point, value)`` pairs, repeated points add up, zero entries are dropped,
+and negative (or NaN) entries are refused.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
@@ -91,14 +97,16 @@ class NotNormalized(BitossError):
 # ---------------------------------------------------------------------------
 
 
+_SCALAR_TYPES = {RATIONAL: Fraction, FLOAT: float}
+
+
 def coerce_scalar(value, mode: str):
     """Coerce ``value`` into ``mode``, rejecting cross-mode values.
 
     Plain ``int`` is mode-agnostic and converts either way; `Fraction` only
     enters rational mode and `float` only float mode.
     """
-    kind = type(value)
-    if (kind is Fraction and mode == RATIONAL) or (kind is float and mode == FLOAT):
+    if type(value) is _SCALAR_TYPES.get(mode):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction, float)):
         raise OutOfRange(f"not a supported scalar: {value!r}")
@@ -166,10 +174,7 @@ class Multiset:
     @classmethod
     def from_elements(cls, elements: Iterable) -> "Multiset":
         """Count an iterable of points into a multiset."""
-        acc: dict = {}
-        for x in elements:
-            acc[x] = acc.get(x, 0) + 1
-        return cls(acc)
+        return cls(Counter(elements))
 
     @property
     def size(self) -> int:
@@ -191,10 +196,7 @@ class Multiset:
     def __add__(self, other: "Multiset") -> "Multiset":
         if not isinstance(other, Multiset):
             return NotImplemented
-        acc = dict(self._entries)
-        for p, m in other._entries:
-            acc[p] = acc.get(p, 0) + m
-        return Multiset(acc)
+        return Multiset(self._entries + other._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -229,10 +231,13 @@ class Multiset:
 class Dist:
     """An immutable finite probability distribution.
 
-    Stored entries all have strictly positive probability, so the support is
-    exactly the stored key set.  Construction validates normalization:
-    exactly one in rational mode, within ``FLOAT_NORM_TOL`` in float mode.
-    Entries are kept in sorted point order, with a dict index for lookups.
+    Built from ``(point, probability)`` pairs or a mapping.  Probabilities at
+    a repeated point add up (exactly in rational mode, in the given order in
+    float mode), zero entries are dropped, and a negative or NaN entry raises
+    :class:`OutOfRange`, so the support is exactly the stored key set.
+    Construction validates normalization: exactly one in rational mode,
+    within ``FLOAT_NORM_TOL`` in float mode.  Entries are kept in sorted
+    point order, with a dict index for lookups.
     """
 
     __slots__ = ("_entries", "_index", "_mode")
@@ -241,24 +246,36 @@ class Dist:
         items = list(entries.items() if isinstance(entries, Mapping) else entries)
         if mode is None:
             mode = FLOAT if any(isinstance(v, float) for _, v in items) else RATIONAL
-        acc: dict = {}
-        for point, prob in items:
-            prob = coerce_scalar(prob, mode)
-            if prob < 0:
-                raise OutOfRange(f"negative probability {prob} at {point!r}")
-            if prob > 0:
-                acc[point] = acc[point] + prob if point in acc else prob
-        if not acc:
+        kind = _SCALAR_TYPES.get(mode)
+        values = [v if type(v) is kind else coerce_scalar(v, mode) for _, v in items]
+        weights, finish = exact_weights(values, mode)
+        sums: dict = {}
+        repeated = set()
+        for (point, given), w in zip(items, weights):
+            if w > 0:
+                if point in sums:
+                    sums[point] += w
+                    repeated.add(point)
+                else:
+                    sums[point] = w
+            elif w:
+                raise OutOfRange(f"probability {given} at {point!r} is negative or NaN")
+        if not sums:
             raise NotNormalized("a distribution needs positive total mass")
-        weights, finish = exact_weights(acc.values(), mode)
-        total = finish(sum(weights))
-        if mode == RATIONAL:
+        total = finish(sum(sums.values()))
+        if mode == FLOAT:
+            if abs(total - 1.0) > FLOAT_NORM_TOL:
+                raise NotNormalized(f"float probabilities sum to {total!r}")
+            index = sums  # float weights are the values, summed in the given order
+        else:
             if total != 1:
                 raise NotNormalized(f"rational probabilities sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_NORM_TOL:
-            raise NotNormalized(f"float probabilities sum to {total!r}")
-        object.__setattr__(self, "_entries", tuple(sorted(acc.items())))
-        object.__setattr__(self, "_index", acc)
+            # keep each given value; rebuild only the repeated points' sums
+            index = {p: v for (p, _), v, w in zip(items, values, weights) if w > 0}
+            for point in repeated:
+                index[point] = finish(sums[point])
+        object.__setattr__(self, "_entries", tuple(sorted(index.items())))
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_mode", mode)
 
     @classmethod
@@ -322,11 +339,7 @@ def mset_map(f: Callable, phi: Multiset) -> Multiset:
     ``mset_map(f, phi)(y)`` sums the multiplicities of all preimages of
     ``y``; size is preserved and the map is a monoid homomorphism.
     """
-    acc: dict = {}
-    for p, m in phi.items():
-        q = f(p)
-        acc[q] = acc.get(q, 0) + m
-    return Multiset(acc)
+    return Multiset([(f(p), m) for p, m in phi.items()])
 
 
 def flrn(phi: Multiset) -> Dist:
@@ -401,12 +414,7 @@ def mset_coefficient(phi: Multiset) -> int:
 
 def dist_map(f: Callable, omega: Dist) -> Dist:
     """Push a distribution forward along a function on points."""
-    weights, finish = exact_weights((v for _, v in omega.items()), omega.mode)
-    acc: dict = {}
-    for (p, _), w in zip(omega.items(), weights):
-        q = f(p)
-        acc[q] = acc[q] + w if q in acc else w
-    return Dist({q: finish(w) for q, w in acc.items()}, mode=omega.mode)
+    return Dist([(f(p), v) for p, v in omega.items()], mode=omega.mode)
 
 
 def _is_int_point(p) -> bool:
@@ -434,11 +442,10 @@ def pair_points(x, y):
 def tensor(omega: Dist, rho: Dist) -> Dist:
     """Parallel product distribution on paired points."""
     mode = require_modes_equal(omega, rho)
-    acc = {}
-    for x, vx in omega.items():
-        for y, vy in rho.items():
-            acc[pair_points(x, y)] = vx * vy
-    return Dist(acc, mode=mode)
+    return Dist(
+        [(pair_points(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
+        mode=mode,
+    )
 
 
 TWO_BY_TWO = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -478,12 +485,10 @@ def convolve(omega: Dist, rho: Dist, add: Callable | None = None) -> Dist:
     """
     mode = require_modes_equal(omega, rho)
     plus = monoid_add if add is None else add
-    acc: dict = {}
-    for x, vx in omega.items():
-        for y, vy in rho.items():
-            s = plus(x, y)
-            acc[s] = acc.get(s, zero(mode)) + vx * vy
-    return Dist(acc, mode=mode)
+    return Dist(
+        [(plus(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
+        mode=mode,
+    )
 
 
 def validity(omega: Dist, observable: Callable):
@@ -580,22 +585,19 @@ def sample(omega: Dist, n: int, seed: int) -> Multiset:
     Each draw feeds a counter-based 64-bit value (:func:`counter_rng`) as a
     dyadic uniform into the inverse CDF over the sorted point order, so the
     result depends only on the distribution's entries, ``n``, and ``seed``.
-    Rational-mode thresholds are compared exactly.
+    Rational-mode thresholds are compared exactly, on integers: with the
+    cumulative numerators ``c`` over the common denominator ``L``,
+    ``u / 2**64 < c / L`` exactly when ``(u * L) >> 64 < c``.
     """
     if n < 0:
         raise OutOfRange(f"sample size must be nonnegative, got {n}")
     points = omega.support()
-    weights, finish = exact_weights((v for _, v in omega.items()), omega.mode)
-    cum = [finish(c) for c in accumulate(weights)]
-    acc: dict = {}
-    denom = 1 << 64
-    for i in range(n):
-        u = counter_rng(seed, i)
-        if omega.mode == RATIONAL:
-            idx = bisect_right(cum, Fraction(u, denom))
-        else:
-            idx = bisect_right(cum, u / denom)
-        if idx >= len(points):  # float cumulative may fall just short of 1
-            idx = len(points) - 1
-        acc[points[idx]] = acc.get(points[idx], 0) + 1
-    return Multiset(acc)
+    cum = list(accumulate(exact_weights((v for _, v in omega.items()), omega.mode)[0]))
+    last = len(points) - 1
+    if omega.mode == RATIONAL:
+        den = cum[-1]  # the numerators of a normalized distribution sum to L
+        draws = ((counter_rng(seed, i) * den) >> 64 for i in range(n))
+    else:
+        draws = (counter_rng(seed, i) / 2**64 for i in range(n))
+    # a float cumulative may fall just short of 1
+    return Multiset(Counter(points[min(bisect_right(cum, u), last)] for u in draws))

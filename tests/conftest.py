@@ -59,6 +59,16 @@ def rational_dists(points, min_weight: int = 0, max_weight: int = 12):
     )
 
 
+def summed(pairs, mode: str) -> Dist:
+    """Reference accumulation: add each point's values in the given order
+    (exact for Fractions, bit for bit for floats), then build the Dist from
+    the sums, so the constructor sees no repeated point."""
+    acc = {}
+    for p, v in pairs:
+        acc[p] = acc.get(p, 0) + v
+    return Dist(acc, mode=mode)
+
+
 def multisets(points, max_mult: int = 5):
     """Hypothesis strategy for multisets over fixed points."""
     points = list(points)

@@ -15,7 +15,7 @@ from bitoss.kernel import (
     to_float,
 )
 
-from conftest import MIXTURE_COINS, MIXTURE_WEIGHTS, rational_dists
+from conftest import MIXTURE_COINS, MIXTURE_WEIGHTS, rational_dists, summed
 
 
 def small_channel(rng: random.Random, domain, codomain) -> Channel:
@@ -74,6 +74,15 @@ class TestPush:
         rng = random.Random(7)
         chan = small_channel(rng, (0, 1, 2), "xyz")
         assert sum(v for _, v in push(chan, omega).items()) == 1
+
+    @given(rational_dists([0, 1, 2]), st.integers(0, 2**32))
+    def test_matches_summing_reference(self, omega, seed):
+        # exact for Fractions, and bit for bit for floats
+        rat = small_channel(random.Random(seed), (0, 1, 2), "wxyz")
+        flt = Channel(rat.domain, {x: to_float(rat(x)) for x in rat.domain})
+        for chan, prior in ((rat, omega), (flt, to_float(omega))):
+            pairs = [(y, w * v) for x, w in prior.items() for y, v in chan(x).items()]
+            assert push(chan, prior) == summed(pairs, prior.mode)
 
 
 class TestDagger:

@@ -123,6 +123,23 @@ class TestBivbin:
         assert "cannot write" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json"]
 
+    def test_nan_face_is_usage_error(self, tmp_path):
+        coin = tmp_path / "coin.json"
+        faces = [[[0, 0], 0.5], [[0, 1], 0.25], [[1, 0], 0.25], [[1, 1], float("nan")]]
+        entries = [{"point": p, "p": v} for p, v in faces]
+        coin.write_text(json.dumps({"mode": "float", "entries": entries}))
+        assert run("bivbin", "--coin", coin, "--K", 3, "--out", tmp_path / "g.json") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json"]
+
+    def test_out_and_csv_naming_one_file_write_nothing(
+        self, tmp_path, coin_file, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = run("bivbin", "--coin", coin_file, "--K", 3, "--out", "./p.json", "--csv", "p.json")
+        assert code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coin.json"]
+
     def test_directory_csv_writes_nothing(self, tmp_path, coin_file, capsys):
         out, csv = tmp_path / "grid.json", tmp_path / "surface"
         csv.mkdir()
@@ -172,6 +189,16 @@ class TestSample:
         out = tmp_path / "missing" / "s.json"
         assert run("sample", "--dist", coin_file, "--n", 5, "--seed", 1, "--out", out) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_nan_probability_is_usage_error(self, tmp_path):
+        # json reads NaN, and the other entries alone sum to one
+        dist = tmp_path / "d.json"
+        dist.write_text(
+            '{"mode": "float", "entries": [{"point": [0], "p": 1.0}, {"point": [1], "p": NaN}]}'
+        )
+        out = tmp_path / "s.json"
+        assert run("sample", "--dist", dist, "--n", 5, "--seed", 1, "--out", out) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
 
 
 class TestEm:
@@ -254,6 +281,28 @@ class TestEm:
         )
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_out_and_trace_naming_one_file_write_nothing(self, tmp_path, capsys):
+        code = run(
+            "em", "--data", self.make_data(tmp_path, n=50), "--K", 8, "--classes", 1,
+            "--iters", 1, "--seed", 1, "--out", tmp_path / "s.json",
+            "--trace", tmp_path / "s.json",
+        )
+        assert code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json"]
+
+    def test_trace_json_naming_the_trace_through_a_link_writes_nothing(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(b"earlier trace")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "t.csv")
+        code = run(
+            "em", "--data", self.make_data(tmp_path, n=50), "--K", 8, "--classes", 1,
+            "--iters", 1, "--seed", 1, "--out", tmp_path / "s.json",
+            "--trace", tmp_path / "t.csv", "--trace-json", tmp_path / "link.csv",
+        )
+        assert code == 2
+        assert (tmp_path / "t.csv").read_bytes() == b"earlier trace"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.json", "link.csv", "t.csv"]
 
     def test_unwritable_trace_json_writes_nothing(self, tmp_path, capsys):
         data = self.make_data(tmp_path, n=50)

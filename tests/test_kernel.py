@@ -1,8 +1,11 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from bitoss.kernel import (
     Dist,
@@ -19,6 +22,7 @@ from bitoss.kernel import (
     coerce_scalar,
     convolve,
     count_msets,
+    counter_rng,
     dist_map,
     enumerate_msets,
     flrn,
@@ -34,7 +38,7 @@ from bitoss.kernel import (
 )
 from bitoss.binomials import binomial, bivbin, flip, two_coin
 
-from conftest import EXAMPLE_COIN, multisets, rational_dists
+from conftest import EXAMPLE_COIN, multisets, rational_dists, summed
 
 URN = Multiset({"R": 3, "G": 2, "B": 5})
 
@@ -191,6 +195,29 @@ class TestDist:
 
     def test_zero_entries_dropped(self):
         assert Dist({"a": 1, "b": 0}).support() == ("a",)
+        assert Dist([("a", 0.0), ("b", 1.0), ("a", 0.0), ("c", -0.0)]).support() == ("b",)
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(OutOfRange):
+            Dist({0: 1.0, 1: float("nan")})
+
+    def test_repeated_points_sum_exactly(self):
+        got = Dist([("a", Fraction(1, 6)), ("b", Fraction(1, 2)), ("a", Fraction(1, 3))])
+        assert got.items() == (("a", Fraction(1, 2)), ("b", Fraction(1, 2)))
+        assert type(got("a")) is Fraction
+
+    def test_repeated_points_sum_in_given_order(self):
+        # (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit
+        parts = [0.1, 0.2, 0.3]
+        got = Dist([("a", v) for v in parts] + [("b", 0.4)])
+        assert got("a") == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert Dist([("a", v) for v in reversed(parts)] + [("b", 0.4)])("a") == 0.3 + 0.2 + 0.1
+
+    def test_negative_entry_at_repeated_point_rejected(self):
+        with pytest.raises(OutOfRange):
+            Dist([("a", Fraction(3, 4)), ("a", Fraction(-1, 4)), ("b", Fraction(1, 2))])
+        with pytest.raises(OutOfRange):
+            Dist([("a", 0.75), ("a", -0.25), ("b", 0.5)])
 
     def test_cross_mode_operations_error(self):
         rat = Dist({0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -265,17 +292,11 @@ class TestDistMap:
 
     @given(rational_dists([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2)]))
     def test_matches_summing_reference(self, omega):
-        # a plain per-target accumulation, exact for Fractions and in the
-        # same order for floats, so float results agree bit for bit
-        def reference(f, dist):
-            acc = {}
-            for p, v in dist.items():
-                acc[f(p)] = acc.get(f(p), 0) + v
-            return Dist(acc, mode=dist.mode)
-
+        # exact for Fractions, and bit for bit for floats
         for f in (lambda p: p[0] + p[1], lambda p: p[0], lambda p: 0):
-            assert dist_map(f, omega) == reference(f, omega)
-            assert dist_map(f, to_float(omega)) == reference(f, to_float(omega))
+            for dist in (omega, to_float(omega)):
+                pairs = [(f(p), v) for p, v in dist.items()]
+                assert dist_map(f, dist) == summed(pairs, dist.mode)
 
     @given(rational_dists([(0, 0), (0, 1), (1, 0), (1, 1)]))
     def test_preserves_normalization_exactly(self, omega):
@@ -358,6 +379,13 @@ class TestConvolve:
     def test_commutative_associative(self, a, b, c):
         assert convolve(a, b) == convolve(b, a)
         assert convolve(convolve(a, b), c) == convolve(a, convolve(b, c))
+
+    @given(rational_dists(range(5), max_weight=9), rational_dists(range(4), max_weight=9))
+    def test_matches_summing_reference(self, a, b):
+        # exact for Fractions, and bit for bit for floats
+        for x, y in ((a, b), (to_float(a), to_float(b))):
+            pairs = [(p + q, vp * vq) for p, vp in x.items() for q, vq in y.items()]
+            assert convolve(x, y) == summed(pairs, x.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +536,14 @@ class TestSample:
     def test_negative_size_rejected(self):
         with pytest.raises(OutOfRange):
             sample(Dist({0: 1}), -1, 0)
+
+    @given(rational_dists(range(7), max_weight=40), st.integers(0, 2**64 - 1))
+    def test_rational_matches_fraction_thresholds(self, omega, seed):
+        # inverse CDF with each uniform and each threshold a Fraction
+        thresholds = list(accumulate(v for _, v in omega.items()))
+        points = omega.support()
+        draws = [
+            points[bisect_right(thresholds, Fraction(counter_rng(seed, i), 2**64))]
+            for i in range(300)
+        ]
+        assert sample(omega, 300, seed) == Multiset.from_elements(draws)
