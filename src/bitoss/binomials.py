@@ -41,6 +41,7 @@ from .kernel import (
     dist_map,
     enumerate_msets,
     moments,
+    point_coords,
     zero,
 )
 
@@ -52,17 +53,33 @@ MAX_DIMENSION = 3
 
 RECOVER_FLOAT_TOL = 1e-9
 
-
-def bit_points(n_dim: int) -> tuple:
-    if n_dim == 1:
-        return (0, 1)
-    return tuple(product((0, 1), repeat=n_dim))
+_BITS = frozenset((0, 1))
 
 
 def grid_points(size: int, n_dim: int) -> tuple:
     if n_dim == 1:
         return tuple(range(size + 1))
     return tuple(product(range(size + 1), repeat=n_dim))
+
+
+def bit_points(n_dim: int) -> tuple:
+    """The faces ``{0,1}^N``: the count grid of one toss."""
+    return grid_points(1, n_dim)
+
+
+def _check_faces(points, n_dim: int) -> None:
+    """Raise :class:`WrongSpace` unless every point is a face of ``{0,1}^N``:
+    a bare 0 or 1 when N = 1, an N-tuple of 0s and 1s otherwise.  Points are
+    checked one by one, so no face set is built."""
+    if n_dim < 1:
+        raise WrongSpace(f"faces need a dimension >= 1, got {n_dim}")
+    for p in points:
+        if n_dim == 1:
+            ok = p in _BITS
+        else:
+            ok = isinstance(p, tuple) and len(p) == n_dim and _BITS.issuperset(p)
+        if not ok:
+            raise WrongSpace(f"point {p!r} is not a face of {{0,1}}^{n_dim}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +96,7 @@ class Coin:
             raise OutOfRange(
                 f"dimension {self.n_dim} exceeds the supported maximum {MAX_DIMENSION}"
             )
-        faces = set(bit_points(self.n_dim))
-        bad = [p for p in self.dist.support() if p not in faces]
-        if bad:
-            raise WrongSpace(f"points {bad!r} are not {self.n_dim}-bit faces")
+        _check_faces(self.dist.support(), self.n_dim)
 
     def heads_probability(self, coord: int):
         """Marginal probability of a 1 in the given coordinate (0-based)."""
@@ -197,8 +211,12 @@ def multinomial(draws: int, omega: Dist) -> Dist:
     from the urn ``omega``."""
     faces = omega.support()
     term, prob = face_terms([v for _, v in omega.items()], draws, omega.mode)
-    msets = enumerate_msets(faces, draws)
-    return Dist([(phi, prob(term([phi(x) for x in faces]))) for phi in msets], mode=omega.mode)
+
+    def draw_prob(phi: Multiset):
+        counts = dict(phi.items())
+        return prob(term([counts.get(x, 0) for x in faces]))
+
+    return Dist([(phi, draw_prob(phi)) for phi in enumerate_msets(faces, draws)], mode=omega.mode)
 
 
 def heads(phi: Multiset, n_dim: int | None = None):
@@ -210,31 +228,16 @@ def heads(phi: Multiset, n_dim: int | None = None):
     unless given; the empty multiset needs it explicitly.
     """
     support = phi.support()
-    if not support:
-        if n_dim is None:
-            raise WrongSpace("the empty multiset needs an explicit dimension")
-        return 0 if n_dim == 1 else (0,) * n_dim
-    first = support[0]
-    if n_dim is not None:
-        inferred = len(first) if isinstance(first, tuple) else 1
-        if inferred != n_dim:
-            raise WrongSpace(f"points {support!r} are not {n_dim}-bit faces")
-    if isinstance(first, tuple):
-        n_dim = len(first)
-        ok = all(
-            isinstance(p, tuple) and len(p) == n_dim and set(p) <= {0, 1} for p in support
-        )
-        if not ok or n_dim < 2:
-            raise WrongSpace(f"expected points in {{0,1}}^N, got {support!r}")
-        counts = [0] * n_dim
-        for p, m in phi.items():
-            for i, bit in enumerate(p):
-                if bit:
-                    counts[i] += m
-        return tuple(counts)
-    if not set(support) <= {0, 1}:
-        raise WrongSpace(f"expected points in {{0,1}}, got {support!r}")
-    return phi(1)
+    if n_dim is None:
+        # the empty multiset has no point to read it from, and 0 fails the face test
+        n_dim = len(point_coords(support[0])) if support else 0
+    _check_faces(support, n_dim)
+    counts = [0] * n_dim
+    for p, m in phi.items():
+        for i, bit in enumerate(p if n_dim > 1 else (p,)):
+            if bit:
+                counts[i] += m
+    return counts[0] if n_dim == 1 else tuple(counts)
 
 
 def fiber_counts(tosses: int, n1: int, n2: int) -> list[tuple[int, int, int, int]]:
@@ -306,8 +309,7 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     full multinomial.
     """
     cell = _cell_probability(tosses, coin)
-    span = range(tosses + 1)
-    cells = [((n1, n2), cell(n1, n2)) for n1 in span for n2 in span]
+    cells = [(n, cell(*n)) for n in grid_points(tosses, 2)]
     return GridDist(tosses, 2, Dist(cells, mode=coin.dist.mode))
 
 
@@ -371,7 +373,5 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
     clamped = {p: min(max(v, zero(dist.mode)), 1) for p, v in entries.items()}
     if out_of_band:  # only reachable with infeasible="clamp"
         log.info("recover_coin clamped infeasible entries: %r", entries)
-    if dist.mode == FLOAT:
-        # rounding and in-band clamping can leave the sum slightly off one
-        return Coin(2, Dist.from_weights(clamped, mode=FLOAT))
-    return Coin(2, Dist(clamped, mode=RATIONAL))
+    # clamping, and float rounding, can leave the sum off one
+    return Coin(2, Dist.from_weights(clamped, mode=dist.mode))

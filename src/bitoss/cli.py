@@ -30,6 +30,7 @@ from .kernel import (
     OutOfRange,
     ResourceLimit,
     SupportMismatch,
+    point_coords,
     sample as kernel_sample,
 )
 
@@ -79,18 +80,10 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
 
 def _coin_from_file(path: str, expect_dim: int | None = None) -> binomials.Coin:
     dist = serialize.dist_from_json(_load_json(path))
-    first = dist.support()[0]
-    n_dim = len(first) if isinstance(first, tuple) else 1
+    n_dim = len(point_coords(dist.support()[0]))
     if expect_dim is not None and n_dim != expect_dim:
         raise UsageError(f"coin in {path} has dimension {n_dim}, expected {expect_dim}")
     return binomials.Coin(n_dim, dist)
-
-
-def _fraction_flag(raw: str) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {raw!r}") from exc
 
 
 def _rational_str(value: Fraction) -> str:

@@ -477,16 +477,15 @@ def monoid_add(x, y):
     raise WrongSpace(f"no monoid addition for {x!r} and {y!r}")
 
 
-def convolve(omega: Dist, rho: Dist, add: Callable | None = None) -> Dist:
+def convolve(omega: Dist, rho: Dist) -> Dist:
     """Distribution of the sum of independent draws.
 
     Equals the pushforward of the tensor along the monoid addition; it is
     commutative and associative, with unit the point mass at the monoid zero.
     """
     mode = require_modes_equal(omega, rho)
-    plus = monoid_add if add is None else add
     return Dist(
-        [(plus(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
+        [(monoid_add(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
         mode=mode,
     )
 

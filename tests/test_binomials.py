@@ -160,8 +160,22 @@ class TestHeads:
         assert heads(Multiset({0: 2, 1: 3})) == 3
 
     def test_wrong_space(self):
-        with pytest.raises(WrongSpace):
-            heads(Multiset({(0, 2): 1}))
+        cases = [
+            (Multiset({(0, 2): 1}), None),
+            (Multiset({(1,): 1}), None),
+            (Multiset({2: 1}), None),
+            (Multiset({(0, 1, 1): 1}), 2),
+            (Multiset({"R": 1}), None),
+            (Multiset({"R": 1}), 1),
+        ]
+        for phi, n_dim in cases:
+            with pytest.raises(WrongSpace):
+                heads(phi, n_dim)
+
+    def test_thirty_dimensions(self):
+        # the faces are checked one by one: 2^30 of them are never built
+        ones, alternating = (1,) * 30, (0, 1) * 15
+        assert heads(Multiset({ones: 2, alternating: 3})) == (2, 5) * 15
 
 
 class TestFiber:
@@ -266,6 +280,10 @@ class TestGridConstructions:
     def test_dimension_cap(self):
         with pytest.raises(OutOfRange):
             Coin(4, Dist({(0, 0, 0, 0): 1}))
+
+    def test_one_tuple_face_is_wrong_space(self):
+        with pytest.raises(WrongSpace):
+            Coin(1, Dist({(0,): Fraction(1, 2), (1,): Fraction(1, 2)}))
 
 
 class TestTails:
@@ -425,12 +443,11 @@ class TestRecover:
             recover_coin(grid, 2)
 
     def test_infeasible_moments_clamp(self):
-        grid = GridDist(
-            2, 2, Dist({(2, 0): 0.5, (0, 2): 0.5}, mode="float")
-        )
-        coin = recover_coin(grid, 2, infeasible="clamp")
-        assert all(0.0 <= float(v) <= 1.0 for _, v in coin.dist.items())
-        assert sum(float(v) for _, v in coin.dist.items()) == pytest.approx(1.0)
+        # the derived entries are -1/4, 3/4, 3/4, -1/4: clamped and renormalized
+        for half in (Fraction(1, 2), 0.5):
+            grid = GridDist(2, 2, Dist({(2, 0): half, (0, 2): half}))
+            coin = recover_coin(grid, 2, infeasible="clamp")
+            assert coin.dist == Dist({(0, 1): half, (1, 0): half})
 
     def test_float_round_trip_close(self, example_coin):
         grid = bivbin_direct(5, Coin(2, to_float(example_coin.dist)))

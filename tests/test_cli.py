@@ -350,14 +350,13 @@ class TestRecover:
         assert run("recover", "--grid", grid_path, "--K", 0) == 2
 
     def test_infeasible_grid_clamped(self, tmp_path, capsys):
-        grid = GridDist(2, 2, Dist({(2, 0): 0.5, (0, 2): 0.5}, mode=FLOAT))
-        grid_path = tmp_path / "grid.json"
-        grid_path.write_text(dumps(grid_to_json(grid)))
-        assert run("recover", "--grid", grid_path, "--K", 2, "--clamp") == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["clamped"] is True
-        total = sum(e["p"] for e in doc["entries"])
-        assert total == pytest.approx(1.0)
+        for half in (Fraction(1, 2), 0.5):
+            grid = GridDist(2, 2, Dist({(2, 0): half, (0, 2): half}))
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(dumps(grid_to_json(grid)))
+            assert run("recover", "--grid", grid_path, "--K", 2, "--clamp") == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == dist_to_json(Dist({(0, 1): half, (1, 0): half})) | {"clamped": True}
 
     def test_k_mismatch_is_usage_error(self, tmp_path, coin_file):
         grid_path = tmp_path / "grid.json"
