@@ -11,9 +11,15 @@ grid: the multivariate binomial.  It is computed here two ways,
 * directly, for N = 2, by summing multinomial terms over the closed-form
   fiber of each grid cell, which avoids enumerating all draws.
 
-Every multinomial term comes from one engine, :func:`face_terms`: exact
-integer numerators in rational mode, log space in float mode, so float
-grids stay finite at any toss count.
+Every multinomial term comes from one integer engine, :func:`count_terms`.
+:func:`face_terms` gives exact integer numerators in rational mode and log
+space in float mode, so float grids stay finite at any toss count.  A
+rational two-coin cell splits each fiber term on the first bit: a two-coin
+is a first-bit flip followed by a channel to the second bit, so the term is
+``C(K, n1)`` times two conditional binomial terms, one for the ``n1`` tosses
+whose first bit is 1 and one for the others.  Their integer rows are built
+once per grid, and each fiber term costs one product.  Float cells stay on
+the log-space terms, because regrouping a float sum changes its bits.
 
 Both paths agree exactly in rational mode.  ``recover_coin`` inverts the
 construction from the grid's mean and covariance alone, using that the grid
@@ -26,7 +32,8 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from functools import cache
+from itertools import accumulate, product, repeat
 from operator import mul
 
 from .kernel import (
@@ -53,9 +60,6 @@ MAX_DIMENSION = 3
 
 RECOVER_FLOAT_TOL = 1e-9
 
-_BITS = frozenset((0, 1))
-
-
 def grid_points(size: int, n_dim: int) -> tuple:
     if n_dim == 1:
         return tuple(range(size + 1))
@@ -67,19 +71,28 @@ def bit_points(n_dim: int) -> tuple:
     return grid_points(1, n_dim)
 
 
+def off_grid(points, size: int, n_dim: int) -> list:
+    """The points that are not on the count grid ``{0,...,size}^N``, where a
+    point is a bare count when N = 1 and an N-tuple of counts otherwise.
+    Points are checked one by one, so the grid is never built."""
+    counts = frozenset(range(size + 1))
+    if n_dim == 1:
+        return [p for p in points if p not in counts]
+    return [
+        p
+        for p in points
+        if not (isinstance(p, tuple) and len(p) == n_dim and counts.issuperset(p))
+    ]
+
+
 def _check_faces(points, n_dim: int) -> None:
-    """Raise :class:`WrongSpace` unless every point is a face of ``{0,1}^N``:
-    a bare 0 or 1 when N = 1, an N-tuple of 0s and 1s otherwise.  Points are
-    checked one by one, so no face set is built."""
+    """Raise :class:`WrongSpace` unless every point is a face of ``{0,1}^N``,
+    the count grid of one toss."""
     if n_dim < 1:
         raise WrongSpace(f"faces need a dimension >= 1, got {n_dim}")
-    for p in points:
-        if n_dim == 1:
-            ok = p in _BITS
-        else:
-            ok = isinstance(p, tuple) and len(p) == n_dim and _BITS.issuperset(p)
-        if not ok:
-            raise WrongSpace(f"point {p!r} is not a face of {{0,1}}^{n_dim}")
+    bad = off_grid(points, 1, n_dim)
+    if bad:
+        raise WrongSpace(f"point {bad[0]!r} is not a face of {{0,1}}^{n_dim}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +133,7 @@ class GridDist:
             raise OutOfRange(f"toss count must be >= 0, got {self.tosses}")
         if self.n_dim < 1:
             raise OutOfRange(f"dimension must be >= 1, got {self.n_dim}")
-        grid = set(grid_points(self.tosses, self.n_dim))
-        bad = [p for p in self.dist.support() if p not in grid]
+        bad = off_grid(self.dist.support(), self.tosses, self.n_dim)
         if bad:
             raise WrongSpace(
                 f"points {bad!r} fall outside the {self.tosses + 1}^{self.n_dim} grid"
@@ -164,6 +176,17 @@ def count_terms(tables, tosses: int):
     return term
 
 
+def _integer_powers(weights, tosses: int):
+    """``(powers, scale)`` for exact weights with common denominator ``D``:
+    ``powers[f][m]`` is ``(D * w_f) ** m`` for ``m`` from 0 to ``tosses``, and
+    ``scale`` is ``D ** tosses``."""
+    if tosses < 0:
+        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    return [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums], den**tosses
+
+
 def face_terms(weights, tosses: int, mode: str):
     """The multinomial term engine: ``(term, prob)`` for size-``tosses``
     draws from an urn with the given face weights.
@@ -175,16 +198,14 @@ def face_terms(weights, tosses: int, mode: str):
     ``D`` the weights' common denominator; float mode works in log space,
     so nothing overflows at any K.
     """
-    if tosses < 0:
-        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
     weights = [coerce_scalar(w, mode) for w in weights]
-    span = range(tosses + 1)
     if mode == RATIONAL:
-        den = math.lcm(*(w.denominator for w in weights))
-        powers = [[int(w * den) ** m for m in span] for w in weights]
-        scale = den**tosses
+        powers, scale = _integer_powers(weights, tosses)
         return count_terms(powers, tosses), lambda total: Fraction(total, scale)
 
+    if tosses < 0:
+        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
+    span = range(tosses + 1)
     log_fact = [math.lgamma(m + 1) for m in span]
     log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
     # log(w^m / m!), with 0^0 = 1
@@ -281,13 +302,41 @@ def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
     return GridDist(tosses, coin.n_dim, grid)
 
 
+def _binomial_rows(off, on):
+    """Integer binomial rows over two power tables, each built on first use:
+    ``row(m)[j]`` is ``C(m, j) * off[m - j] * on[j]`` for ``j`` from 0 to ``m``."""
+
+    @cache
+    def row(m: int) -> list:
+        term = count_terms((off, on), m)
+        return [term((m - j, j)) for j in range(m + 1)]
+
+    return row
+
+
 def _cell_probability(tosses: int, coin: Coin):
     """Grid-cell probabilities of a two-coin, as a function of the heads:
-    the fiber sum of the cell's multinomial terms."""
+    the fiber sum of the cell's multinomial terms.  In rational mode the
+    term of the draw ``(a, b, c, d)`` = ``(#00, #01, #10, #11)`` is
+    ``C(K, n1) * ones(n1)[d] * zeros(K-n1)[a]``, split on the first bit, and
+    ``a - d = K - n1 - n2`` on the fiber, so the rows' slices align."""
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    term, prob = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, coin.dist.mode)
-    return lambda n1, n2: prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+    weights = [coin.dist(p) for p in TWO_BY_TWO]
+    if coin.dist.mode == FLOAT:
+        term, prob = face_terms(weights, tosses, FLOAT)
+        return lambda n1, n2: prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+    (p00, p01, p10, p11), scale = _integer_powers(weights, tosses)
+    ones, zeros = _binomial_rows(p10, p11), _binomial_rows(p01, p00)
+
+    def cell(n1: int, n2: int) -> Fraction:
+        shift = tosses - n1 - n2  # a - d
+        low, high = max(0, -shift), min(n1, n2)  # the range of d
+        top = ones(n1)[low : high + 1]
+        bottom = zeros(tosses - n1)[low + shift : high + shift + 1]
+        return Fraction(math.comb(tosses, n1) * sum(map(mul, top, bottom)), scale)
+
+    return cell
 
 
 def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
@@ -306,7 +355,9 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     """Bivariate binomial built cell by cell from the fiber closed form.
 
     Agrees exactly with :func:`mvbin_functorial` but never materializes the
-    full multinomial.
+    full multinomial.  Rational cells sum the fiber's terms split on the
+    first bit, as products of two conditional binomial rows; float cells
+    sum the log-space multinomial terms.
     """
     cell = _cell_probability(tosses, coin)
     cells = [(n, cell(*n)) for n in grid_points(tosses, 2)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .binomials import Coin, bivbin, grid_points, recover_coin
+from .binomials import Coin, bivbin, grid_points, off_grid, recover_coin
 from .channels import Channel, dagger, push
 from .kernel import (
     Dist,
@@ -154,8 +154,7 @@ def predict(state: EMState, config: EMConfig = EMConfig()) -> Dist:
 def _check_data(data_dist: Dist, tosses: int) -> None:
     if data_dist.mode != FLOAT:
         raise ModeMismatch("EM expects a float-mode data distribution")
-    grid = set(grid_points(tosses, 2))
-    outside = [p for p in data_dist.support() if p not in grid]
+    outside = off_grid(data_dist.support(), tosses, 2)
     if outside:
         raise SupportMismatch(f"data points {outside!r} fall outside the grid")
 

@@ -172,6 +172,14 @@ class Multiset:
         object.__setattr__(self, "_entries", tuple(sorted(acc.items())))
 
     @classmethod
+    def _from_sorted(cls, entries: tuple) -> "Multiset":
+        """Wrap canonical entries (distinct sorted points, positive int
+        counts) as they are: nothing is checked or summed."""
+        phi = cls.__new__(cls)
+        object.__setattr__(phi, "_entries", entries)
+        return phi
+
+    @classmethod
     def from_elements(cls, elements: Iterable) -> "Multiset":
         """Count an iterable of points into a multiset."""
         return cls(Counter(elements))
@@ -384,18 +392,20 @@ def enumerate_msets(base: Iterable, size: int) -> list[Multiset]:
     if n > limit:
         raise ResourceLimit(f"{n} multisets of size {size} exceed the cap {limit}")
     out: list[Multiset] = []
-    counts = [0] * len(points)
+    last = len(points) - 1
 
-    def fill(idx: int, remaining: int) -> None:
-        if idx == len(points) - 1:
-            counts[idx] = remaining
-            out.append(Multiset((points[i], counts[i]) for i in range(len(points))))
+    def fill(idx: int, remaining: int, entries: tuple) -> None:
+        # the points are sorted and distinct, so each draw's entries are canonical
+        if idx == last:
+            if remaining:
+                entries += ((points[idx], remaining),)
+            out.append(Multiset._from_sorted(entries))
             return
-        for k in range(remaining, -1, -1):
-            counts[idx] = k
-            fill(idx + 1, remaining - k)
+        for k in range(remaining, 0, -1):
+            fill(idx + 1, remaining - k, entries + ((points[idx], k),))
+        fill(idx + 1, remaining, entries)
 
-    fill(0, size)
+    fill(0, size, ())
     return out
 
 

@@ -36,20 +36,21 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
 def point_to_json(point) -> list[int]:
-    if isinstance(point, bool):
-        raise OutOfRange(f"cannot serialize point {point!r}")
-    if isinstance(point, int):
+    if _is_int(point):
         return [point]
-    if isinstance(point, tuple) and all(
-        isinstance(c, int) and not isinstance(c, bool) for c in point
-    ):
+    if isinstance(point, tuple) and all(map(_is_int, point)):
         return list(point)
     raise OutOfRange(f"only integer points serialize, got {point!r}")
 
 
 def point_from_json(obj):
-    if not isinstance(obj, list) or not obj or not all(isinstance(c, int) for c in obj):
+    # JSON true and false read as bools, which Python counts as ints
+    if not isinstance(obj, list) or not obj or not all(map(_is_int, obj)):
         raise FormatError(f"a point must be a non-empty integer array, got {obj!r}")
     return obj[0] if len(obj) == 1 else tuple(obj)
 

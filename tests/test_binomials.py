@@ -1,8 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from bitoss.binomials import (
     Coin,
@@ -13,12 +17,15 @@ from bitoss.binomials import (
     bivbin_cell,
     bivbin_direct,
     bivbin_tails,
+    face_terms,
     fiber,
+    fiber_counts,
     flip,
     grid_points,
     heads,
     multinomial,
     mvbin_functorial,
+    off_grid,
     recover_coin,
     two_coin,
 )
@@ -26,6 +33,8 @@ from bitoss.kernel import (
     Dist,
     Multiset,
     OutOfRange,
+    RATIONAL,
+    TWO_BY_TWO,
     WrongSpace,
     convolve,
     dist_map,
@@ -37,7 +46,7 @@ from bitoss.kernel import (
     validity,
 )
 
-from conftest import MIXTURE_COINS, random_rational_coin, random_rational_dist
+from conftest import MIXTURE_COINS, random_rational_coin, random_rational_dist, rational_dists
 
 ZERO_FACE_COIN = two_coin(Fraction(7, 31), Fraction(0), Fraction(11, 31), Fraction(13, 31))
 
@@ -286,6 +295,39 @@ class TestGridConstructions:
             Coin(1, Dist({(0,): Fraction(1, 2), (1,): Fraction(1, 2)}))
 
 
+class TestGridCheck:
+    CANDIDATES = (
+        0, 1, 2, 3, -1, 0.5, 1.0, True, "R", None, (), (0,), (1,), (0, 1), (2, 2),
+        (3, 0), (0, -1), (1, 0.5), (0, 1, 1), (1, 2, 0), (0, 0, 3), ("R", 0), Multiset({0: 1}),
+    )
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_matches_membership_in_the_built_grid(self, size, n_dim):
+        grid = set(grid_points(size, n_dim))
+        expected = [p for p in self.CANDIDATES if p not in grid]
+        assert off_grid(self.CANDIDATES, size, n_dim) == expected
+
+    def test_grid_dist_refuses_points_off_the_grid(self):
+        with pytest.raises(WrongSpace):
+            GridDist(2, 2, Dist({(3, 0): 1}))
+        with pytest.raises(WrongSpace):
+            GridDist(2, 2, Dist({(1, 1, 0): 1}))
+        with pytest.raises(WrongSpace):
+            GridDist(2, 1, Dist({(1,): 1}))
+
+    @pytest.mark.parametrize("tosses,n_dim,point", [(400, 2, (17, 400)), (60, 3, (1, 60, 0))])
+    def test_one_entry_grid_builds_no_grid(self, tosses, n_dim, point):
+        dist = Dist({point: 1})
+        tracemalloc.start()
+        try:
+            GridDist(tosses, n_dim, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestTails:
     def test_uniform_coin_one_toss(self):
         quarter = Fraction(1, 4)
@@ -306,6 +348,73 @@ def heads_coefficient_sum(tosses: int, n_dim: int, target) -> int:
         if heads(phi, n_dim) == target:
             total += mset_coefficient(phi)
     return total
+
+
+def per_draw_cell(tosses: int, coin: Coin, n1: int, n2: int) -> Fraction:
+    """Independent reference for rational cells: the fiber sum with one full
+    multinomial term per draw, as the grid was built before the first-bit
+    split."""
+    term, prob = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, RATIONAL)
+    return prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+
+
+@lru_cache(maxsize=None)
+def per_draw_grid(tosses: int, coin: Coin) -> Dist:
+    cells = [(n, per_draw_cell(tosses, coin, *n)) for n in grid_points(tosses, 2)]
+    return Dist(cells, mode=RATIONAL)
+
+
+def _coin_from_weights(*weights) -> Coin:
+    return Coin(2, Dist.from_weights(dict(zip(TWO_BY_TWO, weights))))
+
+
+SPLIT_COINS = (
+    MIXTURE_COINS
+    + tuple(  # one zero face each
+        _coin_from_weights(*(0 if i == zero_face else i + 2 for i in range(4)))
+        for zero_face in range(4)
+    )
+    + (two_coin(0, 0, Fraction(1, 2), Fraction(1, 2)),)
+    + tuple(Coin(2, Dist({face: 1})) for face in TWO_BY_TWO)  # point masses
+)
+
+
+class TestSplitKernel:
+    """The rational grid splits each fiber term on the first bit; every cell
+    must equal the per-draw fiber sum exactly."""
+
+    @pytest.mark.parametrize("tosses", [*range(9), 15, 30, 60])
+    @pytest.mark.parametrize("coin", SPLIT_COINS)
+    def test_grids_equal_per_draw_sum(self, coin, tosses):
+        ref = per_draw_grid(tosses, coin)
+        assert bivbin(tosses, coin).dist == ref
+        assert bivbin_direct(tosses, coin).dist == ref
+        # tails count zeros: cell (k, l) is the heads cell (K - k, K - l)
+        tails = bivbin_tails(tosses, coin).dist
+        assert tails == Dist([((tosses - a, tosses - b), v) for (a, b), v in ref.items()])
+        for n1, n2 in {(0, 0), (tosses, tosses), (tosses // 2, tosses // 3), (0, tosses)}:
+            assert bivbin_cell(tosses, coin, n1, n2) == ref((n1, n2))
+
+    @given(rational_dists(TWO_BY_TWO, max_weight=6), st.integers(0, 10))
+    def test_random_coins_with_zero_faces(self, dist, tosses):
+        coin = Coin(2, dist)
+        ref = per_draw_grid(tosses, coin)
+        assert bivbin(tosses, coin).dist == ref
+        assert bivbin_tails(tosses, coin).dist == Dist(
+            [((tosses - a, tosses - b), v) for (a, b), v in ref.items()]
+        )
+
+    @pytest.mark.parametrize("coin", SPLIT_COINS[:3])
+    def test_single_cell_at_two_hundred_tosses(self, coin):
+        for n1, n2 in ((0, 0), (67, 100), (100, 100), (200, 13), (150, 180)):
+            assert bivbin_cell(200, coin, n1, n2) == per_draw_cell(200, coin, n1, n2)
+
+    @pytest.mark.parametrize("coin", [MIXTURE_COINS[0], Coin(2, to_float(MIXTURE_COINS[0].dist))])
+    def test_negative_toss_count(self, coin):
+        with pytest.raises(OutOfRange):
+            bivbin_cell(-1, coin, 0, 0)
+        with pytest.raises(OutOfRange):
+            bivbin_direct(-1, coin)
 
 
 class TestCombinatorialIdentities:

@@ -423,6 +423,39 @@ class TestSuccession:
         assert run("succession", "beta", "--alpha", 0, "--beta", 1, "--K", 1, "--n", 0) == 2
 
 
+class TestBoolPoints:
+    """JSON ``true`` and ``false`` are not integer points: every reader refuses
+    them before anything is computed or written."""
+
+    HALF_BOOL_DIST = {
+        "mode": "rational",
+        "entries": [{"point": [0], "num": 1, "den": 2}, {"point": [True], "num": 1, "den": 2}],
+    }
+
+    def test_sample_writes_nothing(self, tmp_path, capsys):
+        dist, out = tmp_path / "d.json", tmp_path / "s.json"
+        dist.write_text(json.dumps(self.HALF_BOOL_DIST))
+        assert run("sample", "--dist", dist, "--n", 5, "--seed", 1, "--out", out) == 2
+        assert not out.exists()
+        assert "integer array" in capsys.readouterr().err
+
+    def test_bivbin_writes_nothing(self, tmp_path, capsys):
+        coin, out = tmp_path / "c.json", tmp_path / "g.json"
+        coin.write_text(json.dumps(self.HALF_BOOL_DIST))
+        assert run("bivbin", "--coin", coin, "--K", 2, "--out", out) == 2
+        assert not out.exists()
+        assert "integer array" in capsys.readouterr().err
+
+    def test_succession_dirichlet_prints_nothing(self, tmp_path, capsys):
+        psi, draw = tmp_path / "psi.json", tmp_path / "draw.json"
+        psi.write_text(json.dumps({"entries": [{"point": [True, False], "mult": 2}]}))
+        draw.write_text(dumps(multiset_to_json(Multiset({(0, 0): 1}))))
+        assert run("succession", "dirichlet", "--psi", psi, "--draw", draw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer array" in captured.err
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run("bogus") == 2

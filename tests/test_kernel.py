@@ -1,7 +1,7 @@
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -36,7 +36,7 @@ from bitoss.kernel import (
     to_float,
     validity,
 )
-from bitoss.binomials import binomial, bivbin, flip, two_coin
+from bitoss.binomials import binomial, bit_points, bivbin, flip, two_coin
 
 from conftest import EXAMPLE_COIN, multisets, rational_dists, summed
 
@@ -151,6 +151,22 @@ class TestEnumeration:
         assert len(got) == count_msets(n_points, size) == math.comb(
             size + n_points - 1, n_points - 1
         )
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_equals_counted_sorted_sequences(self, n_dim):
+        # a draw is a nondecreasing sequence of points, counted into a multiset
+        points = bit_points(n_dim)
+        for size in range(9):
+            expected = [
+                Multiset.from_elements(seq)
+                for seq in combinations_with_replacement(points, size)
+            ]
+            assert enumerate_msets(points, size) == expected
+
+    def test_one_dimensional_draws_at_two_thousand(self):
+        size = 2000
+        expected = [Multiset({0: size - n, 1: n}) for n in range(size + 1)]
+        assert enumerate_msets((1, 0), size) == expected
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("BITOSS_MSET_CAP", "3")

@@ -5,7 +5,7 @@ import pytest
 
 from bitoss.binomials import bivbin
 from bitoss.em import em_run
-from bitoss.kernel import Multiset, sample, to_float
+from bitoss.kernel import Multiset, OutOfRange, sample, to_float
 from bitoss.serialize import (
     FormatError,
     dist_from_json,
@@ -42,6 +42,13 @@ class TestPoints:
             point_from_json([])
         with pytest.raises(FormatError):
             point_from_json("nope")
+
+    @pytest.mark.parametrize("obj", [[True], [False], [1, False], [0, True, 1]])
+    def test_bools_refused(self, obj):
+        with pytest.raises(FormatError):
+            point_from_json(obj)
+        with pytest.raises(OutOfRange):
+            point_to_json(obj[0] if len(obj) == 1 else tuple(obj))
 
 
 class TestRoundTrips:
