@@ -8,18 +8,15 @@ grid: the multivariate binomial.  It is computed here two ways,
 
 * functorially, by pushing the multinomial of the coin forward along the
   marginal heads function, for any dimension; and
-* directly, for N = 2, by summing multinomial terms over the closed-form
-  fiber of each grid cell, which avoids enumerating all draws.
+* directly, for N = 2, by summing the closed-form fiber of each grid cell,
+  which avoids enumerating all draws.
 
-Every multinomial term comes from one integer engine, :func:`count_terms`.
-:func:`face_terms` gives exact integer numerators in rational mode and log
-space in float mode, so float grids stay finite at any toss count.  A
-rational two-coin cell splits each fiber term on the first bit: a two-coin
-is a first-bit flip followed by a channel to the second bit, so the term is
-``C(K, n1)`` times two conditional binomial terms, one for the ``n1`` tosses
-whose first bit is 1 and one for the others.  Their integer rows are built
-once per grid, and each fiber term costs one product.  Float cells stay on
-the log-space terms, because regrouping a float sum changes its bits.
+The direct path splits each fiber term on the first bit (a two-coin is a
+first-bit flip followed by a channel to the second bit) into two
+conditional binomial rows, built once per grid: integer terms from
+:func:`count_terms` in rational mode, log-space pmfs in float mode, so float
+grids stay finite at any K.  :func:`binomial` reads the same rows;
+:func:`face_terms` serves :func:`multinomial`, the functorial oracle.
 
 Both paths agree exactly in rational mode.  ``recover_coin`` inverts the
 construction from the grid's mean and covariance alone, using that the grid
@@ -34,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product, repeat
-from operator import mul
+from operator import getitem, mul
 
 from .kernel import (
     Dist,
@@ -73,16 +70,18 @@ def bit_points(n_dim: int) -> tuple:
 
 def off_grid(points, size: int, n_dim: int) -> list:
     """The points that are not on the count grid ``{0,...,size}^N``, where a
-    point is a bare count when N = 1 and an N-tuple of counts otherwise.
-    Points are checked one by one, so the grid is never built."""
-    counts = frozenset(range(size + 1))
-    if n_dim == 1:
-        return [p for p in points if p not in counts]
-    return [
-        p
-        for p in points
-        if not (isinstance(p, tuple) and len(p) == n_dim and counts.issuperset(p))
-    ]
+    point is a bare count when N = 1 and an N-tuple of counts otherwise, and
+    a count is an ``int`` (not a ``bool``) from 0 to ``size``.  Points are
+    checked one coordinate at a time, so no grid or count range is built."""
+    bad = []
+    for p in points:
+        # a point of the wrong shape gets the coordinates (None,), which fail
+        coords = (p,) if n_dim == 1 else p if isinstance(p, tuple) and len(p) == n_dim else (None,)
+        for c in coords:
+            if type(c) is not int or not 0 <= c <= size:
+                bad.append(p)
+                break
+    return bad
 
 
 def _check_faces(points, n_dim: int) -> None:
@@ -176,55 +175,48 @@ def count_terms(tables, tosses: int):
     return term
 
 
-def _integer_powers(weights, tosses: int):
-    """``(powers, scale)`` for exact weights with common denominator ``D``:
-    ``powers[f][m]`` is ``(D * w_f) ** m`` for ``m`` from 0 to ``tosses``, and
-    ``scale`` is ``D ** tosses``."""
+def _powers(weights, tosses: int, mode: str):
+    """``(tables, finish)`` for ``tosses`` draws over the given face weights:
+    per-face tables indexed by ``m`` from 0 to ``tosses``, and ``finish``,
+    which turns a sum of terms into a probability.  Rational tables hold
+    ``(D * w) ** m``, with ``D`` the weights' common denominator, over ``D **
+    tosses``; float tables hold ``log(w**m / m!)``, with ``0**0 = 1``."""
     if tosses < 0:
         raise OutOfRange(f"toss count must be >= 0, got {tosses}")
+    if mode == FLOAT:
+        span = range(tosses + 1)
+        lw = [math.log(w) if w > 0 else -math.inf for w in weights]
+        return [[m * x - math.lgamma(m + 1) if m else 0.0 for m in span] for x in lw], float
     den = math.lcm(*(w.denominator for w in weights))
     nums = [w.numerator * (den // w.denominator) for w in weights]
-    return [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums], den**tosses
+    scale = den**tosses
+    powers = [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums]
+    return powers, lambda total: Fraction(total, scale)
 
 
 def face_terms(weights, tosses: int, mode: str):
     """The multinomial term engine: ``(term, prob)`` for size-``tosses``
-    draws from an urn with the given face weights.
-
-    ``term(counts)`` is ``tosses! / prod(m!) * prod(w^m)`` over the draw's
-    face counts ``m``, up to a scale common to the urn; ``prob`` turns a
-    sum of terms into a probability.  Its tables are built once per urn.
-    Rational mode keeps exact integer numerators over ``D**tosses``, with
-    ``D`` the weights' common denominator; float mode works in log space,
-    so nothing overflows at any K.
-    """
-    weights = [coerce_scalar(w, mode) for w in weights]
+    draws from an urn with the given face weights.  ``term(counts)`` is
+    ``tosses! / prod(m!) * prod(w^m)`` over the draw's face counts ``m``, up
+    to a scale common to the urn (exact integers in rational mode, one
+    ``exp`` in log space in float mode, so nothing overflows at any K);
+    ``prob`` turns a sum of terms into a probability.  Only
+    :func:`multinomial`, the functorial oracle, uses it, in either mode;
+    binomials and two-coin cells read first-bit rows."""
+    tables, finish = _powers([coerce_scalar(w, mode) for w in weights], tosses, mode)
     if mode == RATIONAL:
-        powers, scale = _integer_powers(weights, tosses)
-        return count_terms(powers, tosses), lambda total: Fraction(total, scale)
-
-    if tosses < 0:
-        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
-    span = range(tosses + 1)
-    log_fact = [math.lgamma(m + 1) for m in span]
-    log_w = [math.log(w) if w > 0 else -math.inf for w in weights]
-    # log(w^m / m!), with 0^0 = 1
-    logs = [[(m * lw if m else 0.0) - log_fact[m] for m in span] for lw in log_w]
-
-    def log_term(counts) -> float:
-        total = log_fact[tosses]
-        for table, m in zip(logs, counts):
-            total += table[m]
-        return math.exp(total)
-
-    return log_term, float
+        return count_terms(tables, tosses), finish
+    lead = math.lgamma(tosses + 1)
+    return (lambda counts: math.exp(lead + sum(map(getitem, tables, counts)))), finish
 
 
 def binomial(tosses: int, r) -> Dist:
     """Number of 1s in ``tosses`` flips of a coin with bias ``r``."""
     r = _check_probability(r)
-    term, prob = face_terms([1 - r, r], tosses, FLOAT if isinstance(r, float) else RATIONAL)
-    return Dist({n: prob(term((tosses - n, n))) for n in range(tosses + 1)})
+    mode = FLOAT if isinstance(r, float) else RATIONAL
+    (off, on), finish = _powers([1 - r, r], tosses, mode)
+    row = _binomial_rows(off, on, mode)(tosses)
+    return Dist([(n, finish(t)) for n, t in enumerate(row)], mode=mode)
 
 
 def multinomial(draws: int, omega: Dist) -> Dist:
@@ -302,12 +294,17 @@ def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
     return GridDist(tosses, coin.n_dim, grid)
 
 
-def _binomial_rows(off, on):
-    """Integer binomial rows over two power tables, each built on first use:
-    ``row(m)[j]`` is ``C(m, j) * off[m - j] * on[j]`` for ``j`` from 0 to ``m``."""
+def _binomial_rows(off, on, mode: str):
+    """Binomial rows over two of :func:`_powers`'s tables, each built on first
+    use: ``row(m)[j]`` is ``C(m, j) * off[m - j] * on[j]`` for ``j`` from 0
+    to ``m``, an exact integer, or in float mode one ``exp`` of the log
+    tables' sum, which is the pmf entry when ``off + on = 1``."""
 
     @cache
     def row(m: int) -> list:
+        if mode == FLOAT:
+            lead = math.lgamma(m + 1)
+            return [math.exp(lead + off[m - j] + on[j]) for j in range(m + 1)]
         term = count_terms((off, on), m)
         return [term((m - j, j)) for j in range(m + 1)]
 
@@ -316,25 +313,37 @@ def _binomial_rows(off, on):
 
 def _cell_probability(tosses: int, coin: Coin):
     """Grid-cell probabilities of a two-coin, as a function of the heads:
-    the fiber sum of the cell's multinomial terms.  In rational mode the
-    term of the draw ``(a, b, c, d)`` = ``(#00, #01, #10, #11)`` is
-    ``C(K, n1) * ones(n1)[d] * zeros(K-n1)[a]``, split on the first bit, and
-    ``a - d = K - n1 - n2`` on the fiber, so the rows' slices align."""
+    the fiber sum split on the first bit.  The term of the draw ``(a, b, c,
+    d)`` = ``(#00, #01, #10, #11)`` is ``lead[n1] * ones(n1)[d] *
+    zeros(K-n1)[a]``, with second-bit rows for the tosses whose first bit is
+    1 and for the others; ``a - d = K - n1 - n2`` on the fiber, so the rows'
+    slices align.  Rational rows hold integer terms over ``D**K`` and
+    ``lead[n1] = C(K, n1)``; float rows are ``Bin(m, p11 / p1)`` and ``Bin(m,
+    p00 / p0)``, and ``lead`` is ``Bin(K, p1)``."""
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
     weights = [coin.dist(p) for p in TWO_BY_TWO]
     if coin.dist.mode == FLOAT:
-        term, prob = face_terms(weights, tosses, FLOAT)
-        return lambda n1, n2: prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
-    (p00, p01, p10, p11), scale = _integer_powers(weights, tosses)
-    ones, zeros = _binomial_rows(p10, p11), _binomial_rows(p01, p00)
+        p00, p01, p10, p11 = weights
 
-    def cell(n1: int, n2: int) -> Fraction:
+        def rows(off: float, on: float):
+            # a first bit that never comes up has lead 0 wherever these rows are read
+            pair = [off / (off + on), on / (off + on)] if off + on else [1.0, 0.0]
+            return _binomial_rows(*_powers(pair, tosses, FLOAT)[0], FLOAT)
+
+        lead = rows(p00 + p01, p10 + p11)(tosses)
+        ones, zeros, finish = rows(p10, p11), rows(p01, p00), float
+    else:
+        (p00, p01, p10, p11), finish = _powers(weights, tosses, RATIONAL)
+        lead = [math.comb(tosses, n1) for n1 in range(tosses + 1)]
+        ones, zeros = _binomial_rows(p10, p11, RATIONAL), _binomial_rows(p01, p00, RATIONAL)
+
+    def cell(n1: int, n2: int):
         shift = tosses - n1 - n2  # a - d
         low, high = max(0, -shift), min(n1, n2)  # the range of d
         top = ones(n1)[low : high + 1]
         bottom = zeros(tosses - n1)[low + shift : high + shift + 1]
-        return Fraction(math.comb(tosses, n1) * sum(map(mul, top, bottom)), scale)
+        return finish(lead[n1] * sum(map(mul, top, bottom)))
 
     return cell
 
@@ -354,10 +363,9 @@ def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
 def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     """Bivariate binomial built cell by cell from the fiber closed form.
 
-    Agrees exactly with :func:`mvbin_functorial` but never materializes the
-    full multinomial.  Rational cells sum the fiber's terms split on the
-    first bit, as products of two conditional binomial rows; float cells
-    sum the log-space multinomial terms.
+    Agrees exactly with :func:`mvbin_functorial` in rational mode but never
+    materializes the full multinomial: each cell sums the fiber's terms
+    split on the first bit, as products of two conditional binomial rows.
     """
     cell = _cell_probability(tosses, coin)
     cells = [(n, cell(*n)) for n in grid_points(tosses, 2)]

@@ -2,30 +2,34 @@
 
 The model is a mixture distribution over class labels together with one
 two-coin per class; class ``x`` predicts the grid distribution of its coin
-after ``K`` tosses.  One iteration performs
+after ``K`` tosses.  In the paper's channel form (:func:`prediction_channel`,
+``push`` and ``dagger``), one iteration performs
 
 * an E-step as a Jeffrey update: the new mixture is the data distribution
-  pushed back through the dagger of the prediction channel, taken only at
-  the data's support, and
+  pushed back through the dagger of the prediction channel, and
 * an M-step via the double dagger: the dagger is inverted again with the
   data distribution as prior, and each class's resulting grid distribution
   is projected onto coin parameters through ``recover_coin``.
 
 Predicted grids are floored (a small ``delta`` added to every cell, then
-renormalized) before any dagger is taken, so inversions never divide by
-zero; the moment projection clamps and renormalizes when the double dagger
-is not exactly a bivariate binomial.  The run records the KL divergence
-from the data distribution to the prediction before each step and after
-the last.
+renormalized) so inversions never divide by zero; the moment projection
+clamps and renormalizes when the double dagger is not exactly a bivariate
+binomial.  Both steps read the prediction only at the data's support, so
+:func:`em_step` and :func:`em_run` evaluate just those cells, by the
+first-bit rows of :mod:`bitoss.binomials`, on plain floats; the channel
+form stays as the oracle.  The run records the KL divergence from the data
+distribution to the prediction before each step and after the last.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 
-from .binomials import Coin, bivbin, grid_points, off_grid, recover_coin
-from .channels import Channel, dagger, push
+from .binomials import Coin, _cell_probability, bivbin, grid_points, off_grid, recover_coin
+# dagger and kl_divergence stay importable from here: perfbench/layers.py wraps them by name
+from .channels import Channel, dagger, push  # noqa: F401
 from .kernel import (
     Dist,
     FLOAT,
@@ -36,7 +40,7 @@ from .kernel import (
     TWO_BY_TWO,
     counter_rng,
     flrn,
-    kl_divergence,
+    kl_divergence,  # noqa: F401
     to_float,
 )
 
@@ -103,9 +107,12 @@ class EMTrace:
         return self.records[-1].state
 
 
-def _floored(dist: Dist, points: tuple, delta: float) -> Dist:
-    """Give every listed point at least ``delta`` mass, then renormalize."""
-    return Dist.from_weights({p: float(dist(p)) + delta for p in points}, mode=FLOAT)
+def _floored(values, delta: float, size: int, total: float = 1.0) -> list:
+    """Values of a distribution on ``size`` points with mass ``total`` after
+    ``delta`` is added at every point and the mass renormalized to one; a
+    grid's mass is one, so its cells are floored without reading the others."""
+    norm = total + delta * size
+    return [(v + delta) / norm for v in values]
 
 
 def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig()) -> EMState:
@@ -117,32 +124,23 @@ def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig(
         raise OutOfRange(f"toss count must be >= 1, got {tosses}")
     draws = count()
 
-    def uniform() -> float:
-        return counter_rng(seed, next(draws)) / float(1 << 64)
+    def draw(points) -> Dist:
+        weights = [counter_rng(seed, next(draws)) / float(1 << 64) + 1e-6 for _ in points]
+        total = sum(weights)
+        floored = _floored((w / total for w in weights), config.floor, len(points))
+        return Dist(zip(points, floored), mode=FLOAT)
 
-    mixture = _floored(
-        Dist.from_weights({x: uniform() + 1e-6 for x in range(n_classes)}, mode=FLOAT),
-        tuple(range(n_classes)),
-        config.floor,
-    )
-    coins = tuple(
-        _floored(
-            Dist.from_weights({p: uniform() + 1e-6 for p in TWO_BY_TWO}, mode=FLOAT),
-            TWO_BY_TWO,
-            config.floor,
-        )
-        for _ in range(n_classes)
-    )
-    return EMState(mixture=mixture, coins=coins, tosses=tosses)
+    mixture = draw(range(n_classes))
+    return EMState(mixture, tuple(draw(TWO_BY_TWO) for _ in range(n_classes)), tosses)
 
 
 def prediction_channel(state: EMState, config: EMConfig = EMConfig()) -> Channel:
     """Class label to floored predicted grid distribution."""
     grid = grid_points(state.tosses, 2)
-    kernel = {
-        x: _floored(bivbin(state.tosses, Coin(2, state.coins[x])).dist, grid, config.floor)
-        for x in range(state.n_classes)
-    }
+    kernel = {}
+    for x, coin in enumerate(state.coins):
+        cells = map(bivbin(state.tosses, Coin(2, coin)).dist, grid)
+        kernel[x] = Dist(zip(grid, _floored(cells, config.floor, len(grid))), mode=FLOAT)
     return Channel(tuple(range(state.n_classes)), kernel)
 
 
@@ -159,28 +157,42 @@ def _check_data(data_dist: Dist, tosses: int) -> None:
         raise SupportMismatch(f"data points {outside!r} fall outside the grid")
 
 
-def _step(state: EMState, data_dist: Dist, chan: Channel, config: EMConfig) -> EMState:
-    # the data distribution reads the inversion only at its own support
-    inversion = dagger(chan, state.mixture, data_dist.support())
-    new_mixture = _floored(
-        push(inversion, data_dist), tuple(range(state.n_classes)), config.floor
-    )
-    double = dagger(inversion, data_dist)
-    new_coins = tuple(
-        _floored(
-            recover_coin(double(x), state.tosses, infeasible="clamp").dist,
-            TWO_BY_TWO,
-            config.floor,
-        )
-        for x in range(state.n_classes)
-    )
-    return EMState(mixture=new_mixture, coins=new_coins, tosses=state.tosses)
+def _e_step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, list]:
+    """``(divergence, weighted)``: the KL divergence from the data to
+    :func:`predict`, and per class the data mass at each observed cell that
+    the class is responsible for."""
+    freqs = [d for _, d in data_dist.items()]
+    joint = []
+    for (_, w), coin in zip(state.mixture.items(), state.coins):
+        cell = _cell_probability(state.tosses, Coin(2, coin))
+        cells = (cell(n1, n2) for n1, n2 in data_dist.support())
+        joint.append([w * g for g in _floored(cells, config.floor, (state.tosses + 1) ** 2)])
+    predicted = [sum(column) for column in zip(*joint)]
+    divergence = sum(d * math.log(d / q) for d, q in zip(freqs, predicted))
+    weighted = [[d * (j / q) for d, j, q in zip(freqs, row, predicted)] for row in joint]
+    return max(divergence, 0.0), weighted
+
+
+def _m_step(state: EMState, points: tuple, weighted: list, config: EMConfig) -> EMState:
+    """The mixture is each class's total responsibility for the data (the
+    Jeffrey update); each coin is ``recover_coin`` of its class's normalized
+    weighted data (the double dagger)."""
+    masses = [sum(row) for row in weighted]
+    mixture = _floored(masses, config.floor, len(masses), sum(masses))
+    coins = []
+    for row, mass in zip(weighted, masses):
+        double = Dist(zip(points, (v / mass for v in row)), mode=FLOAT)
+        coin = recover_coin(double, state.tosses, infeasible="clamp").dist
+        faces = [coin(p) for p in TWO_BY_TWO]
+        floored = _floored(faces, config.floor, len(faces), sum(faces))
+        coins.append(Dist(zip(TWO_BY_TWO, floored), mode=FLOAT))
+    return EMState(Dist(enumerate(mixture), mode=FLOAT), tuple(coins), state.tosses)
 
 
 def em_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
     """One E+M iteration against a data distribution on the grid."""
     _check_data(data_dist, state.tosses)
-    return _step(state, data_dist, prediction_channel(state, config), config)
+    return _m_step(state, data_dist.support(), _e_step(state, data_dist, config)[1], config)
 
 
 def em_run(
@@ -203,10 +215,8 @@ def em_run(
     state = em_init(n_classes, tosses, seed, config)
     records = []
     for i in range(iterations):
-        chan = prediction_channel(state, config)
-        records.append(EMRecord(i, kl_divergence(data_dist, push(chan, state.mixture)), state))
-        state = _step(state, data_dist, chan, config)
-    records.append(
-        EMRecord(len(records), kl_divergence(data_dist, predict(state, config)), state)
-    )
+        divergence, weighted = _e_step(state, data_dist, config)
+        records.append(EMRecord(i, divergence, state))
+        state = _m_step(state, data_dist.support(), weighted, config)
+    records.append(EMRecord(iterations, _e_step(state, data_dist, config)[0], state))
     return EMTrace(tuple(records))

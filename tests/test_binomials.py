@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from bitoss.binomials import (
 )
 from bitoss.kernel import (
     Dist,
+    FLOAT,
     Multiset,
     OutOfRange,
     RATIONAL,
@@ -304,9 +306,21 @@ class TestGridCheck:
     @pytest.mark.parametrize("n_dim", [1, 2, 3])
     @pytest.mark.parametrize("size", [0, 1, 2])
     def test_matches_membership_in_the_built_grid(self, size, n_dim):
+        # membership with int coordinates: 1.0 and True equal 1 but are not counts
         grid = set(grid_points(size, n_dim))
-        expected = [p for p in self.CANDIDATES if p not in grid]
+
+        def on_grid(p):
+            coords = p if isinstance(p, tuple) else (p,)
+            return p in grid and all(type(c) is int for c in coords)
+
+        expected = [p for p in self.CANDIDATES if not on_grid(p)]
         assert off_grid(self.CANDIDATES, size, n_dim) == expected
+
+    def test_bools_are_not_counts(self):
+        assert off_grid([(True, 1)], 2, 2) == [(True, 1)]
+        assert off_grid([False, 1], 2, 1) == [False]
+        with pytest.raises(WrongSpace):
+            GridDist(2, 2, Dist({(True, 1): 1}))
 
     def test_grid_dist_refuses_points_off_the_grid(self):
         with pytest.raises(WrongSpace):
@@ -326,6 +340,12 @@ class TestGridCheck:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_grid_check_does_not_grow_with_the_toss_count(self):
+        start = time.perf_counter()
+        grid = GridDist(10**6, 2, Dist({(1, 2): 1}))
+        assert time.perf_counter() - start < 0.1
+        assert off_grid([(1, 2), (10**6 + 1, 0)], grid.tosses, 2) == [(10**6 + 1, 0)]
 
 
 class TestTails:
@@ -362,6 +382,20 @@ def per_draw_cell(tosses: int, coin: Coin, n1: int, n2: int) -> Fraction:
 def per_draw_grid(tosses: int, coin: Coin) -> Dist:
     cells = [(n, per_draw_cell(tosses, coin, *n)) for n in grid_points(tosses, 2)]
     return Dist(cells, mode=RATIONAL)
+
+
+def per_draw_float_cell(tosses: int, coin: Coin, n1: int, n2: int) -> float:
+    """Reference for float cells: the fiber sum with one log-space
+    multinomial term per draw, as float grids were built before the
+    first-bit split."""
+    term, prob = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, FLOAT)
+    return prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+
+
+@lru_cache(maxsize=None)
+def per_draw_float_grid(tosses: int, coin: Coin) -> dict:
+    cells = ((n, per_draw_float_cell(tosses, coin, *n)) for n in grid_points(tosses, 2))
+    return {n: v for n, v in cells if v}
 
 
 def _coin_from_weights(*weights) -> Coin:
@@ -408,6 +442,28 @@ class TestSplitKernel:
     def test_single_cell_at_two_hundred_tosses(self, coin):
         for n1, n2 in ((0, 0), (67, 100), (100, 100), (200, 13), (150, 180)):
             assert bivbin_cell(200, coin, n1, n2) == per_draw_cell(200, coin, n1, n2)
+
+    @pytest.mark.parametrize("tosses", [*range(9), 15, 30, 60])
+    @pytest.mark.parametrize("coin", SPLIT_COINS)
+    def test_float_grids_match_per_draw_sum_and_exact_grid(self, coin, tosses):
+        exact = per_draw_grid(tosses, coin)
+        float_coin = Coin(2, to_float(coin.dist))
+        ref = per_draw_float_grid(tosses, float_coin)
+        assert set(ref) == set(exact.support())
+
+        def assert_close(got: dict):
+            assert set(got) == set(ref)
+            for n, v in got.items():
+                assert math.isclose(v, ref[n], rel_tol=1e-12)
+                assert math.isclose(v, float(exact(n)), rel_tol=1e-12)
+
+        assert_close(dict(bivbin(tosses, float_coin).dist.items()))
+        assert_close(dict(bivbin_direct(tosses, float_coin).dist.items()))
+        tails = bivbin_tails(tosses, float_coin).dist
+        assert_close({(tosses - a, tosses - b): v for (a, b), v in tails.items()})
+        for n1, n2 in {(0, 0), (tosses, tosses), (tosses // 2, tosses // 3), (0, tosses)}:
+            got = bivbin_cell(tosses, float_coin, n1, n2)
+            assert math.isclose(got, ref.get((n1, n2), 0.0), rel_tol=1e-12)
 
     @pytest.mark.parametrize("coin", [MIXTURE_COINS[0], Coin(2, to_float(MIXTURE_COINS[0].dist))])
     def test_negative_toss_count(self, coin):

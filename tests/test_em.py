@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
-from bitoss.binomials import bivbin
-from bitoss.channels import Channel, push
+from bitoss.binomials import Coin, bivbin, grid_points, recover_coin
+from bitoss.channels import Channel, dagger, push
 from bitoss.em import (
     EMConfig,
     EMState,
@@ -16,6 +18,7 @@ from bitoss.kernel import (
     FLOAT,
     OutOfRange,
     SupportMismatch,
+    TWO_BY_TWO,
     flrn,
     kl_divergence,
     sample,
@@ -38,6 +41,32 @@ def mixture_dist(tosses: int) -> Dist:
 @pytest.fixture(scope="module")
 def sampled_data():
     return sample(mixture_dist(15), 1000, 42)
+
+
+def floored(dist: Dist, points, delta: float) -> Dist:
+    return Dist.from_weights({p: float(dist(p)) + delta for p in points}, mode=FLOAT)
+
+
+def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
+    """Reference: one iteration in the paper's channel form, on full floored
+    grids renormalized by their sums: the mixture is the data pushed back
+    through the dagger of the prediction channel, and each coin is
+    ``recover_coin`` of the double dagger."""
+    grid = grid_points(state.tosses, 2)
+    chan = Channel(
+        tuple(range(state.n_classes)),
+        {x: floored(bivbin(state.tosses, Coin(2, coin)).dist, grid, config.floor)
+         for x, coin in enumerate(state.coins)},
+    )
+    inversion = dagger(chan, state.mixture, data_dist.support())
+    mixture = floored(push(inversion, data_dist), range(state.n_classes), config.floor)
+    double = dagger(inversion, data_dist)
+    coins = tuple(
+        floored(recover_coin(double(x), state.tosses, infeasible="clamp").dist, TWO_BY_TWO,
+                config.floor)
+        for x in range(state.n_classes)
+    )
+    return EMState(mixture=mixture, coins=coins, tosses=state.tosses)
 
 
 class TestInit:
@@ -171,3 +200,32 @@ class TestRun:
 
         with pytest.raises(OutOfRange):
             EMTrace((EMRecord(0, float("nan"), state),))
+
+
+class TestChannelForm:
+    """EM reads the prediction only at the data's support; the paper's
+    channel form over full grids is the oracle."""
+
+    @pytest.mark.parametrize("tosses,n_classes", [(15, 2), (15, 4), (30, 2)])
+    def test_step_equals_channel_form(self, tosses, n_classes):
+        data_dist = to_float(flrn(sample(mixture_dist(tosses), 1000, 42)))
+        for seed in range(3):
+            state = em_init(n_classes, tosses, seed)
+            for _ in range(2):
+                got, ref = em_step(state, data_dist), channel_step(state, data_dist)
+                for x in range(n_classes):
+                    assert math.isclose(got.mixture(x), ref.mixture(x), rel_tol=1e-12)
+                    for face in TWO_BY_TWO:
+                        assert math.isclose(
+                            got.coins[x](face), ref.coins[x](face), rel_tol=1e-12
+                        )
+                state = ref
+
+    @pytest.mark.parametrize("tosses,n_classes,seed", [(15, 2, 0), (15, 4, 1), (30, 2, 0)])
+    def test_reported_divergence_is_kl_to_prediction(self, tosses, n_classes, seed):
+        data = sample(mixture_dist(tosses), 1000, 42)
+        data_dist = to_float(flrn(data))
+        trace = em_run(data, n_classes, tosses, 5, seed)
+        for rec in trace.records:
+            expected = kl_divergence(data_dist, predict(rec.state))
+            assert math.isclose(rec.divergence, expected, rel_tol=1e-12)
