@@ -15,7 +15,6 @@ from .kernel import (
     FLOAT,
     ModeMismatch,
     Multiset,
-    NotFullSupport,
     NotNormalized,
     OutOfRange,
     RATIONAL,

@@ -41,6 +41,7 @@ from .kernel import (
     RATIONAL,
     TWO_BY_TWO,
     WrongSpace,
+    check_count,
     coerce_scalar,
     dist_map,
     enumerate_msets,
@@ -102,9 +103,7 @@ class Coin:
     dist: Dist
 
     def __post_init__(self):
-        if self.n_dim < 1:
-            raise OutOfRange(f"dimension must be >= 1, got {self.n_dim}")
-        if self.n_dim > MAX_DIMENSION:
+        if check_count(self.n_dim, "dimension", 1) > MAX_DIMENSION:
             raise OutOfRange(
                 f"dimension {self.n_dim} exceeds the supported maximum {MAX_DIMENSION}"
             )
@@ -128,10 +127,8 @@ class GridDist:
     dist: Dist
 
     def __post_init__(self):
-        if self.tosses < 0:
-            raise OutOfRange(f"toss count must be >= 0, got {self.tosses}")
-        if self.n_dim < 1:
-            raise OutOfRange(f"dimension must be >= 1, got {self.n_dim}")
+        check_count(self.tosses, "toss count")
+        check_count(self.n_dim, "dimension", 1)
         bad = off_grid(self.dist.support(), self.tosses, self.n_dim)
         if bad:
             raise WrongSpace(
@@ -181,8 +178,7 @@ def _powers(weights, tosses: int, mode: str):
     which turns a sum of terms into a probability.  Rational tables hold
     ``(D * w) ** m``, with ``D`` the weights' common denominator, over ``D **
     tosses``; float tables hold ``log(w**m / m!)``, with ``0**0 = 1``."""
-    if tosses < 0:
-        raise OutOfRange(f"toss count must be >= 0, got {tosses}")
+    check_count(tosses, "toss count")
     if mode == FLOAT:
         span = range(tosses + 1)
         lw = [math.log(w) if w > 0 else -math.inf for w in weights]
@@ -409,8 +405,7 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
     """
     if infeasible not in ("error", "clamp"):
         raise OutOfRange(f"infeasible must be 'error' or 'clamp', got {infeasible!r}")
-    if tosses < 1:
-        raise OutOfRange(f"toss count must be >= 1, got {tosses}")
+    check_count(tosses, "toss count", 1)
     dist = grid.dist if isinstance(grid, GridDist) else grid
     if isinstance(grid, GridDist) and grid.n_dim != 2:
         raise OutOfRange(f"requires a two-dimensional grid, got N={grid.n_dim}")

@@ -4,20 +4,15 @@ A channel assigns to every domain point a distribution on a common codomain;
 it is a conditional probability table stored extensionally so it can be
 serialized and inverted.  The two operations are pushforward of a prior
 along a channel and the dagger (Bayesian inversion), whose domain is the
-support of the pushforward or a chosen part of it.
+support of the pushforward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .kernel import (
-    Dist,
-    DomainMismatch,
-    ModeMismatch,
-    NotFullSupport,
-)
+from .kernel import Dist, DomainMismatch, ModeMismatch
 
 
 @dataclass(frozen=True)
@@ -60,26 +55,17 @@ def push(chan: Channel, omega: Dist) -> Dist:
     return Dist(mixed, mode=omega.mode)
 
 
-def dagger(chan: Channel, omega: Dist, codomain: Iterable | None = None) -> Channel:
+def dagger(chan: Channel, omega: Dist) -> Channel:
     """Bayesian inversion of a channel with respect to a prior.
 
     The returned channel maps each point ``y`` of its domain to the posterior
     ``x -> omega(x) * chan(x)(y) / push(chan, omega)(y)``.  Its domain is
-    ``codomain`` when given, in the given order, and otherwise the support
-    of ``push(chan, omega)``, which avoids manufactured division-by-zero
-    errors on structurally empty cells.  Every domain point needs positive
-    pushforward mass (:class:`NotFullSupport` otherwise).  Inverting only at
-    the points a caller reads, such as the observed cells of a data
-    distribution, skips the rows it would never read.
+    the support of ``push(chan, omega)``, which avoids manufactured
+    division-by-zero errors on structurally empty cells.
     """
     predicted = push(chan, omega)
-    points = predicted.support() if codomain is None else tuple(codomain)
-    dead = [y for y in points if predicted(y) == 0]
-    if dead:
-        raise NotFullSupport(f"pushforward has zero mass at {dead!r}")
     kernel = {}
-    for y in points:
-        py = predicted(y)
+    for y, py in predicted.items():
         post = [(x, wx * chan(x)(y) / py) for x, wx in omega.items()]
         kernel[y] = Dist(post, mode=omega.mode)
-    return Channel(points, kernel)
+    return Channel(predicted.support(), kernel)

@@ -38,6 +38,7 @@ from .kernel import (
     OutOfRange,
     SupportMismatch,
     TWO_BY_TWO,
+    check_count,
     counter_rng,
     flrn,
     kl_divergence,  # noqa: F401
@@ -62,11 +63,8 @@ class EMState:
 
     def __post_init__(self):
         object.__setattr__(self, "coins", tuple(self.coins))
-        if self.tosses < 1:
-            raise OutOfRange(f"toss count must be >= 1, got {self.tosses}")
-        n_classes = len(self.coins)
-        if n_classes < 1:
-            raise OutOfRange("need at least one class")
+        check_count(self.tosses, "toss count", 1)
+        n_classes = check_count(len(self.coins), "class count", 1)
         if self.mixture.mode != FLOAT or any(c.mode != FLOAT for c in self.coins):
             raise ModeMismatch("EM states are float mode")
         if self.mixture.support() != tuple(range(n_classes)):
@@ -118,10 +116,7 @@ def _floored(values, delta: float, size: int, total: float = 1.0) -> list:
 def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig()) -> EMState:
     """Deterministic random start: mixture and coins from the counter-based
     generator under ``seed``, floored to full support."""
-    if n_classes < 1:
-        raise OutOfRange(f"need at least one class, got {n_classes}")
-    if tosses < 1:
-        raise OutOfRange(f"toss count must be >= 1, got {tosses}")
+    check_count(n_classes, "class count", 1)
     draws = count()
 
     def draw(points) -> Dist:
@@ -208,8 +203,7 @@ def em_run(
     Starts from :func:`em_init` under ``seed`` and applies ``iterations``
     steps, recording the divergence of every visited state.
     """
-    if iterations < 1:
-        raise OutOfRange(f"need at least one iteration, got {iterations}")
+    check_count(iterations, "iteration count", 1)
     data_dist = to_float(flrn(data))
     _check_data(data_dist, tosses)
     state = em_init(n_classes, tosses, seed, config)

@@ -72,10 +72,6 @@ class DomainMismatch(BitossError):
     """A channel was applied to a point outside its domain."""
 
 
-class NotFullSupport(BitossError):
-    """A pushforward lacks full support where an inversion requires it."""
-
-
 class OutOfRange(BitossError):
     """A numeric parameter is outside its admissible range."""
 
@@ -133,6 +129,14 @@ def exact_weights(values: Iterable, mode: str) -> tuple[list, Callable]:
     return [v.numerator * (den // v.denominator) for v in values], lambda s: Fraction(s, den)
 
 
+def check_count(value, name: str, low: int = 0) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, of at least ``low``;
+    :class:`OutOfRange` otherwise."""
+    if type(value) is int and value >= low:
+        return value
+    raise OutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def zero(mode: str):
     return Fraction(0) if mode == RATIONAL else 0.0
 
@@ -163,11 +167,7 @@ class Multiset:
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict = {}
         for point, mult in items:
-            if isinstance(mult, bool) or not isinstance(mult, int):
-                raise OutOfRange(f"multiplicity must be an int, got {mult!r}")
-            if mult < 0:
-                raise OutOfRange(f"negative multiplicity {mult} for {point!r}")
-            if mult:
+            if check_count(mult, "multiplicity"):
                 acc[point] = acc.get(point, 0) + mult
         object.__setattr__(self, "_entries", tuple(sorted(acc.items())))
 
@@ -385,8 +385,7 @@ def enumerate_msets(base: Iterable, size: int) -> list[Multiset]:
     points = sorted(set(base))
     if not points:
         raise EmptyMultiset("base must be non-empty")
-    if size < 0:
-        raise OutOfRange(f"size must be nonnegative, got {size}")
+    check_count(size, "size")
     limit = mset_cap()
     n = count_msets(len(points), size)
     if n > limit:
@@ -428,11 +427,8 @@ def dist_map(f: Callable, omega: Dist) -> Dist:
 
 
 def _is_int_point(p) -> bool:
-    if isinstance(p, bool):
-        return False
-    if isinstance(p, int):
-        return True
-    return isinstance(p, tuple) and all(isinstance(c, int) and not isinstance(c, bool) for c in p)
+    """Whether ``p`` is an ``int`` or a tuple of them, ``bool`` excluded."""
+    return type(p) is int or isinstance(p, tuple) and all(type(c) is int for c in p)
 
 
 def pair_points(x, y):
@@ -443,19 +439,23 @@ def pair_points(x, y):
     anything else pairs into a plain 2-tuple.
     """
     if _is_int_point(x) and _is_int_point(y):
-        xt = x if isinstance(x, tuple) else (x,)
-        yt = y if isinstance(y, tuple) else (y,)
-        return xt + yt
+        return point_coords(x) + point_coords(y)
     return (x, y)
+
+
+def _product(omega: Dist, rho: Dist, combine: Callable) -> Dist:
+    """Distribution of ``combine(x, y)`` for independent draws ``x`` from
+    ``omega`` and ``y`` from ``rho``."""
+    mode = require_modes_equal(omega, rho)
+    return Dist(
+        [(combine(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
+        mode=mode,
+    )
 
 
 def tensor(omega: Dist, rho: Dist) -> Dist:
     """Parallel product distribution on paired points."""
-    mode = require_modes_equal(omega, rho)
-    return Dist(
-        [(pair_points(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
-        mode=mode,
-    )
+    return _product(omega, rho, pair_points)
 
 
 TWO_BY_TWO = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -493,11 +493,7 @@ def convolve(omega: Dist, rho: Dist) -> Dist:
     Equals the pushforward of the tensor along the monoid addition; it is
     commutative and associative, with unit the point mass at the monoid zero.
     """
-    mode = require_modes_equal(omega, rho)
-    return Dist(
-        [(monoid_add(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
-        mode=mode,
-    )
+    return _product(omega, rho, monoid_add)
 
 
 def validity(omega: Dist, observable: Callable):
@@ -516,7 +512,7 @@ def point_coords(p) -> tuple:
     """View a point as a tuple of numeric coordinates (bare ints as 1-tuples)."""
     if isinstance(p, tuple):
         return p
-    if isinstance(p, int) and not isinstance(p, bool):
+    if type(p) is int:
         return (p,)
     raise WrongSpace(f"point {p!r} has no numeric coordinates")
 
@@ -598,8 +594,7 @@ def sample(omega: Dist, n: int, seed: int) -> Multiset:
     cumulative numerators ``c`` over the common denominator ``L``,
     ``u / 2**64 < c / L`` exactly when ``(u * L) >> 64 < c``.
     """
-    if n < 0:
-        raise OutOfRange(f"sample size must be nonnegative, got {n}")
+    check_count(n, "sample size")
     points = omega.support()
     cum = list(accumulate(exact_weights((v for _, v in omega.items()), omega.mode)[0]))
     last = len(points) - 1

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .binomials import GridDist
 from .em import EMState, EMTrace
-from .kernel import Dist, FLOAT, Multiset, OutOfRange, RATIONAL
+from .kernel import Dist, FLOAT, Multiset, OutOfRange, RATIONAL, _is_int_point, point_coords
 
 
 class FormatError(ValueError):
@@ -36,21 +36,15 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _is_int(c) -> bool:
-    return isinstance(c, int) and not isinstance(c, bool)
-
-
 def point_to_json(point) -> list[int]:
-    if _is_int(point):
-        return [point]
-    if isinstance(point, tuple) and all(map(_is_int, point)):
-        return list(point)
+    if _is_int_point(point):
+        return list(point_coords(point))
     raise OutOfRange(f"only integer points serialize, got {point!r}")
 
 
 def point_from_json(obj):
     # JSON true and false read as bools, which Python counts as ints
-    if not isinstance(obj, list) or not obj or not all(map(_is_int, obj)):
+    if not isinstance(obj, list) or not obj or not _is_int_point(tuple(obj)):
         raise FormatError(f"a point must be a non-empty integer array, got {obj!r}")
     return obj[0] if len(obj) == 1 else tuple(obj)
 

@@ -38,6 +38,7 @@ from .kernel import (
     OutOfRange,
     TWO_BY_TWO,
     WrongSpace,
+    check_count,
     flrn,
 )
 
@@ -58,9 +59,8 @@ class BetaParams:
     beta: int
 
     def __post_init__(self):
-        for name, v in (("alpha", self.alpha), ("beta", self.beta)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise OutOfRange(f"{name} must be a positive integer, got {v!r}")
+        check_count(self.alpha, "alpha", 1)
+        check_count(self.beta, "beta", 1)
 
     def mean(self) -> Fraction:
         return Fraction(self.alpha, self.alpha + self.beta)
@@ -198,8 +198,7 @@ class PoissonParams:
     truncation: int
 
     def __post_init__(self):
-        if self.truncation < 0:
-            raise OutOfRange(f"truncation must be >= 0, got {self.truncation!r}")
+        check_count(self.truncation, "truncation")
         mass = sum(poisson_pmf(self.rate, k) for k in range(self.truncation + 1))
         if mass < 1.0 - POISSON_TAIL_TOL:
             raise OutOfRange(
@@ -218,8 +217,7 @@ def binomial_poisson_mean(detect_prob: float, rate: float, detected: int) -> flo
         raise OutOfRange(f"detection probability {detect_prob!r} outside [0, 1]")
     if not 0 <= rate < math.inf:
         raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    if detected < 0:
-        raise OutOfRange(f"detected count must be >= 0, got {detected}")
+    check_count(detected, "detected count")
     return detected + (1.0 - detect_prob) * rate
 
 
@@ -237,8 +235,8 @@ def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
     if not 0 <= rate < math.inf:
         raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    if n1 < 0 or n2 < 0:
-        raise OutOfRange(f"observed heads must be >= 0, got ({n1}, {n2})")
+    check_count(n1, "n1")
+    check_count(n2, "n2")
     rate00, *rates = (float(coin.dist(p)) * rate for p in TWO_BY_TWO)
     draws = fiber_counts(n1 + n2, n1, n2)
     logs = [

@@ -11,7 +11,6 @@ from bitoss.kernel import (
     Dist,
     DomainMismatch,
     ModeMismatch,
-    NotFullSupport,
     to_float,
 )
 
@@ -111,23 +110,6 @@ class TestDagger:
         assert inv(2) == Dist(
             {Fraction(1, 4): Fraction(1, 10), Fraction(3, 4): Fraction(9, 10)}
         )
-
-    def test_not_full_support_on_requested_codomain(self):
-        chan = Channel((0,), {0: Dist({0: 1})})
-        omega = Dist({0: 1})
-        with pytest.raises(NotFullSupport):
-            dagger(chan, omega, codomain=(0, 1))
-
-    @given(st.data())
-    def test_codomain_restricts_the_full_inversion(self, data):
-        omega = data.draw(rational_dists([0, 1, 2]))
-        chan = Channel((0, 1, 2), {x: data.draw(rational_dists("uvwz")) for x in (0, 1, 2)})
-        support = push(chan, omega).support()
-        pts = tuple(data.draw(st.lists(st.sampled_from(support), unique=True)))
-        part = dagger(chan, omega, pts)
-        full = dagger(chan, omega)
-        assert part.domain == pts
-        assert all(part(y) == full(y) for y in pts)
 
     def test_domain_restricted_to_pushforward_support(self):
         chan = Channel((0,), {0: Dist({5: 1})})

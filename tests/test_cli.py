@@ -358,6 +358,15 @@ class TestRecover:
             doc = json.loads(capsys.readouterr().out)
             assert doc == dist_to_json(Dist({(0, 1): half, (1, 0): half})) | {"clamped": True}
 
+    @pytest.mark.parametrize("field, value", [("K", True), ("K", 1.0), ("N", 2.0)])
+    def test_non_integer_count_is_usage_error(self, tmp_path, capsys, field, value):
+        doc = grid_to_json(GridDist(1, 2, Dist({(0, 0): 1})))
+        doc[field] = value
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(doc))
+        assert run("recover", "--grid", grid_path, "--K", 1) == 2
+        assert capsys.readouterr().out == ""
+
     def test_k_mismatch_is_usage_error(self, tmp_path, coin_file):
         grid_path = tmp_path / "grid.json"
         assert run("bivbin", "--coin", coin_file, "--K", 4, "--out", grid_path) == 0

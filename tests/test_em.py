@@ -58,7 +58,7 @@ def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig())
         {x: floored(bivbin(state.tosses, Coin(2, coin)).dist, grid, config.floor)
          for x, coin in enumerate(state.coins)},
     )
-    inversion = dagger(chan, state.mixture, data_dist.support())
+    inversion = dagger(chan, state.mixture)
     mixture = floored(push(inversion, data_dist), range(state.n_classes), config.floor)
     double = dagger(inversion, data_dist)
     coins = tuple(

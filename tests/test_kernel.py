@@ -36,7 +36,23 @@ from bitoss.kernel import (
     to_float,
     validity,
 )
-from bitoss.binomials import binomial, bit_points, bivbin, flip, two_coin
+from bitoss.binomials import (
+    Coin,
+    GridDist,
+    binomial,
+    bit_points,
+    bivbin,
+    flip,
+    recover_coin,
+    two_coin,
+)
+from bitoss.em import em_init, em_run
+from bitoss.succession import (
+    BetaParams,
+    PoissonParams,
+    binomial_poisson_mean,
+    bivbin_poisson_mean,
+)
 
 from conftest import EXAMPLE_COIN, multisets, rational_dists, summed
 
@@ -563,3 +579,43 @@ class TestSample:
             for i in range(300)
         ]
         assert sample(omega, 300, seed) == Multiset.from_elements(draws)
+
+
+# ---------------------------------------------------------------------------
+# Count arguments
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+
+# each call takes the count as its one argument; the second value is the least count
+COUNT_ARGUMENTS = [
+    pytest.param(lambda v: Coin(v, flip(HALF).dist), 1, id="Coin.n_dim"),
+    pytest.param(lambda v: GridDist(v, 1, Dist({0: 1})), 0, id="GridDist.tosses"),
+    pytest.param(lambda v: GridDist(2, v, binomial(2, HALF)), 1, id="GridDist.n_dim"),
+    pytest.param(lambda v: bivbin(v, EXAMPLE_COIN), 0, id="bivbin"),
+    pytest.param(lambda v: binomial(v, HALF), 0, id="binomial"),
+    pytest.param(lambda v: recover_coin(bivbin(1, EXAMPLE_COIN), v), 1, id="recover_coin"),
+    pytest.param(lambda v: Multiset({0: v}), 0, id="Multiset"),
+    pytest.param(lambda v: enumerate_msets([0, 1], v), 0, id="enumerate_msets"),
+    pytest.param(lambda v: sample(Dist({0: 1}), v, 0), 0, id="sample"),
+    pytest.param(lambda v: em_init(v, 2, 0), 1, id="em_init.n_classes"),
+    pytest.param(lambda v: em_init(1, v, 0), 1, id="em_init.tosses"),
+    pytest.param(lambda v: em_run(Multiset({(0, 0): 1}), 1, 2, v, 0), 1, id="em_run.iterations"),
+    pytest.param(lambda v: BetaParams(v, 1), 1, id="BetaParams.alpha"),
+    pytest.param(lambda v: BetaParams(1, v), 1, id="BetaParams.beta"),
+    pytest.param(lambda v: PoissonParams(0.0, v), 0, id="PoissonParams.truncation"),
+    pytest.param(lambda v: binomial_poisson_mean(0.5, 1.0, v), 0, id="binomial_poisson_mean"),
+    pytest.param(lambda v: bivbin_poisson_mean(EXAMPLE_COIN, 1.0, v, 0), 0,
+                 id="bivbin_poisson_mean.n1"),
+    pytest.param(lambda v: bivbin_poisson_mean(EXAMPLE_COIN, 1.0, 0, v), 0,
+                 id="bivbin_poisson_mean.n2"),
+]
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below"])
+@pytest.mark.parametrize("call, low", COUNT_ARGUMENTS)
+def test_counts_are_ints_from_their_least_value(call, low, kind):
+    call(low)
+    bad = {"bool": True, "float": 2.0, "below": low - 1}[kind]
+    with pytest.raises(OutOfRange):
+        call(bad)
