@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, product, repeat, starmap
 from operator import getitem, mul
 
 from .kernel import (
@@ -307,15 +307,16 @@ def _binomial_rows(off, on, mode: str):
     return row
 
 
-def _cell_probability(tosses: int, coin: Coin):
-    """Grid-cell probabilities of a two-coin, as a function of the heads:
-    the fiber sum split on the first bit.  The term of the draw ``(a, b, c,
-    d)`` = ``(#00, #01, #10, #11)`` is ``lead[n1] * ones(n1)[d] *
-    zeros(K-n1)[a]``, with second-bit rows for the tosses whose first bit is
-    1 and for the others; ``a - d = K - n1 - n2`` on the fiber, so the rows'
-    slices align.  Rational rows hold integer terms over ``D**K`` and
-    ``lead[n1] = C(K, n1)``; float rows are ``Bin(m, p11 / p1)`` and ``Bin(m,
-    p00 / p0)``, and ``lead`` is ``Bin(K, p1)``."""
+def _cell_terms(tosses: int, coin: Coin):
+    """``(terms, finish)`` for the grid cells of a two-coin, the fiber sum
+    split on the first bit: the draw ``(a, b, c, d)`` = ``(#00, #01, #10,
+    #11)`` has term ``lead[n1] * ones(n1)[d] * zeros(K-n1)[a]``, over
+    second-bit rows for the tosses whose first bit is 1 and for the others.
+    ``terms(n1, n2)`` is ``(lead[n1], low, products)``, with the row products
+    for ``d`` from ``low`` up (``a - d = K - n1 - n2``, so the slices align),
+    and the cell is ``finish(lead[n1] * sum(products))``.  Rational rows hold
+    integer terms over ``D**K`` and ``lead[n1] = C(K, n1)``; float rows are
+    ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``, and ``lead`` is ``Bin(K, p1)``."""
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
     weights = [coin.dist(p) for p in TWO_BY_TWO]
@@ -334,14 +335,14 @@ def _cell_probability(tosses: int, coin: Coin):
         lead = [math.comb(tosses, n1) for n1 in range(tosses + 1)]
         ones, zeros = _binomial_rows(p10, p11, RATIONAL), _binomial_rows(p01, p00, RATIONAL)
 
-    def cell(n1: int, n2: int):
+    def terms(n1: int, n2: int) -> tuple:
         shift = tosses - n1 - n2  # a - d
         low, high = max(0, -shift), min(n1, n2)  # the range of d
         top = ones(n1)[low : high + 1]
         bottom = zeros(tosses - n1)[low + shift : high + shift + 1]
-        return finish(lead[n1] * sum(map(mul, top, bottom)))
+        return lead[n1], low, list(map(mul, top, bottom))
 
-    return cell
+    return terms, finish
 
 
 def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
@@ -350,10 +351,11 @@ def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
     Points outside the ``{0,...,K}^2`` grid have probability zero, matching
     distribution-call semantics.
     """
-    cell = _cell_probability(tosses, coin)
+    terms, finish = _cell_terms(tosses, coin)
     if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
         return zero(coin.dist.mode)
-    return cell(n1, n2)
+    lead, _, products = terms(n1, n2)
+    return finish(lead * sum(products))
 
 
 def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
@@ -363,8 +365,9 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     materializes the full multinomial: each cell sums the fiber's terms
     split on the first bit, as products of two conditional binomial rows.
     """
-    cell = _cell_probability(tosses, coin)
-    cells = [(n, cell(*n)) for n in grid_points(tosses, 2)]
+    terms, finish = _cell_terms(tosses, coin)
+    grid = grid_points(tosses, 2)
+    cells = [(n, finish(lead * sum(p))) for n, (lead, _, p) in zip(grid, starmap(terms, grid))]
     return GridDist(tosses, 2, Dist(cells, mode=coin.dist.mode))
 
 
@@ -401,7 +404,7 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
     trip in rational mode.  Otherwise the derived entries may leave [0, 1]:
     with ``infeasible="error"`` anything beyond the float tolerance raises
     :class:`OutOfRange`; with ``infeasible="clamp"`` entries are clamped into
-    [0, 1] and renormalized (logged), which is what EM's projection needs.
+    [0, 1] and renormalized (logged), which ``recover --clamp`` asks for.
     """
     if infeasible not in ("error", "clamp"):
         raise OutOfRange(f"infeasible must be 'error' or 'clamp', got {infeasible!r}")

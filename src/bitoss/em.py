@@ -2,23 +2,19 @@
 
 The model is a mixture distribution over class labels together with one
 two-coin per class; class ``x`` predicts the grid distribution of its coin
-after ``K`` tosses.  In the paper's channel form (:func:`prediction_channel`,
-``push`` and ``dagger``), one iteration performs
+after ``K`` tosses.  One iteration performs the E-step as a Jeffrey update
+(in the paper's channel form, :func:`prediction_channel`, ``push`` and
+``dagger``, the new mixture is the data pushed back through the dagger of
+the prediction channel) and the exact M-step: each new coin is the frequency
+of its class's expected faces over the fibers of the observed cells.
 
-* an E-step as a Jeffrey update: the new mixture is the data distribution
-  pushed back through the dagger of the prediction channel, and
-* an M-step via the double dagger: the dagger is inverted again with the
-  data distribution as prior, and each class's resulting grid distribution
-  is projected onto coin parameters through ``recover_coin``.
-
-Predicted grids are floored (a small ``delta`` added to every cell, then
-renormalized) so inversions never divide by zero; the moment projection
-clamps and renormalizes when the double dagger is not exactly a bivariate
-binomial.  Both steps read the prediction only at the data's support, so
-:func:`em_step` and :func:`em_run` evaluate just those cells, by the
-first-bit rows of :mod:`bitoss.binomials`, on plain floats; the channel
-form stays as the oracle.  The run records the KL divergence from the data
-distribution to the prediction before each step and after the last.
+Predicted grids, mixtures and coins are floored (a small ``delta`` added to
+every point, then renormalized) so inversions never divide by zero.  Both
+steps read only the data's support: one pass over each observed cell's
+first-bit terms (:mod:`bitoss.binomials`) gives its probability and its
+expected faces, on plain floats; the channel form stays as the oracle.  The
+run records the KL divergence from the data to the prediction before each
+step and after the last; up to the floors, it never rises.
 """
 
 from __future__ import annotations
@@ -26,9 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
+from operator import mul
 
-from .binomials import Coin, _cell_probability, bivbin, grid_points, off_grid, recover_coin
-# dagger and kl_divergence stay importable from here: perfbench/layers.py wraps them by name
+# dagger, recover_coin and kl_divergence stay importable: perfbench/layers.py wraps them by name
+from .binomials import Coin, _cell_terms, bivbin, grid_points, off_grid, recover_coin  # noqa: F401
 from .channels import Channel, dagger, push  # noqa: F401
 from .kernel import (
     Dist,
@@ -106,11 +103,11 @@ class EMTrace:
 
 
 def _floored(values, delta: float, size: int, total: float = 1.0) -> list:
-    """Values of a distribution on ``size`` points with mass ``total`` after
-    ``delta`` is added at every point and the mass renormalized to one; a
-    grid's mass is one, so its cells are floored without reading the others."""
-    norm = total + delta * size
-    return [(v + delta) / norm for v in values]
+    """The shares ``v / total`` of weights on ``size`` points after ``delta``
+    is added at every point and the mass renormalized to one; a grid's mass
+    is one, so its cells are floored without reading the others."""
+    norm = 1 + delta * size
+    return [(v / total + delta) / norm for v in values]
 
 
 def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig()) -> EMState:
@@ -121,8 +118,7 @@ def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig(
 
     def draw(points) -> Dist:
         weights = [counter_rng(seed, next(draws)) / float(1 << 64) + 1e-6 for _ in points]
-        total = sum(weights)
-        floored = _floored((w / total for w in weights), config.floor, len(points))
+        floored = _floored(weights, config.floor, len(points), sum(weights))
         return Dist(zip(points, floored), mode=FLOAT)
 
     mixture = draw(range(n_classes))
@@ -152,42 +148,44 @@ def _check_data(data_dist: Dist, tosses: int) -> None:
         raise SupportMismatch(f"data points {outside!r} fall outside the grid")
 
 
-def _e_step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, list]:
-    """``(divergence, weighted)``: the KL divergence from the data to
-    :func:`predict`, and per class the data mass at each observed cell that
-    the class is responsible for."""
+def _step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, EMState]:
+    """``(divergence, next)``: the KL divergence from the data to
+    :func:`predict`, and the state after one E+M iteration.  Each class takes
+    the data mass it is responsible for at each observed cell ``(n1, n2)``,
+    where it expects ``E[#11]`` draws of ``|1,1>`` (the mean over the cell's
+    fiber, weighted by its coin's terms), ``n1 - E[#11]`` of ``|1,0>``, ``n2 -
+    E[#11]`` of ``|0,1>`` and the rest of ``|0,0>``."""
     freqs = [d for _, d in data_dist.items()]
-    joint = []
+    joint, faces = [], []
     for (_, w), coin in zip(state.mixture.items(), state.coins):
-        cell = _cell_probability(state.tosses, Coin(2, coin))
-        cells = (cell(n1, n2) for n1, n2 in data_dist.support())
+        terms = _cell_terms(state.tosses, Coin(2, coin))[0]
+        cells, expected = [], []
+        for n1, n2 in data_dist.support():
+            lead, low, products = terms(n1, n2)
+            total, span = sum(products), len(products) - 1
+            cells.append(lead * total)
+            # capped so that rounding makes no face negative; all-underflow cells read mid-fiber
+            e11 = low + (min(sum(map(mul, count(), products)) / total, span) if total else span / 2)
+            expected.append((state.tosses - n1 - n2 + e11, n2 - e11, n1 - e11, e11))
         joint.append([w * g for g in _floored(cells, config.floor, (state.tosses + 1) ** 2)])
+        faces.append(expected)
     predicted = [sum(column) for column in zip(*joint)]
     divergence = sum(d * math.log(d / q) for d, q in zip(freqs, predicted))
     weighted = [[d * (j / q) for d, j, q in zip(freqs, row, predicted)] for row in joint]
-    return max(divergence, 0.0), weighted
-
-
-def _m_step(state: EMState, points: tuple, weighted: list, config: EMConfig) -> EMState:
-    """The mixture is each class's total responsibility for the data (the
-    Jeffrey update); each coin is ``recover_coin`` of its class's normalized
-    weighted data (the double dagger)."""
     masses = [sum(row) for row in weighted]
-    mixture = _floored(masses, config.floor, len(masses), sum(masses))
+    mixture = Dist(enumerate(_floored(masses, config.floor, len(masses), sum(masses))), mode=FLOAT)
     coins = []
-    for row, mass in zip(weighted, masses):
-        double = Dist(zip(points, (v / mass for v in row)), mode=FLOAT)
-        coin = recover_coin(double, state.tosses, infeasible="clamp").dist
-        faces = [coin(p) for p in TWO_BY_TWO]
-        floored = _floored(faces, config.floor, len(faces), sum(faces))
+    for row, expected in zip(weighted, faces):
+        counts = [sum(map(mul, row, column)) for column in zip(*expected)]
+        floored = _floored(counts, config.floor, len(counts), sum(counts))
         coins.append(Dist(zip(TWO_BY_TWO, floored), mode=FLOAT))
-    return EMState(Dist(enumerate(mixture), mode=FLOAT), tuple(coins), state.tosses)
+    return max(divergence, 0.0), EMState(mixture, tuple(coins), state.tosses)
 
 
 def em_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
     """One E+M iteration against a data distribution on the grid."""
     _check_data(data_dist, state.tosses)
-    return _m_step(state, data_dist.support(), _e_step(state, data_dist, config)[1], config)
+    return _step(state, data_dist, config)[1]
 
 
 def em_run(
@@ -204,13 +202,12 @@ def em_run(
     steps, recording the divergence of every visited state.
     """
     check_count(iterations, "iteration count", 1)
+    state = em_init(n_classes, tosses, seed, config)  # counts are checked before the data
     data_dist = to_float(flrn(data))
     _check_data(data_dist, tosses)
-    state = em_init(n_classes, tosses, seed, config)
     records = []
-    for i in range(iterations):
-        divergence, weighted = _e_step(state, data_dist, config)
+    for i in range(iterations + 1):  # the last step only measures the final state
+        divergence, following = _step(state, data_dist, config)
         records.append(EMRecord(i, divergence, state))
-        state = _m_step(state, data_dist.support(), weighted, config)
-    records.append(EMRecord(iterations, _e_step(state, data_dist, config)[0], state))
+        state = following
     return EMTrace(tuple(records))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bitoss.binomials import Coin, bivbin, grid_points, recover_coin
+from bitoss.binomials import Coin, bivbin, fiber, grid_points, multinomial
 from bitoss.channels import Channel, dagger, push
 from bitoss.em import (
     EMConfig,
@@ -48,10 +48,12 @@ def floored(dist: Dist, points, delta: float) -> Dist:
 
 
 def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
-    """Reference: one iteration in the paper's channel form, on full floored
-    grids renormalized by their sums: the mixture is the data pushed back
-    through the dagger of the prediction channel, and each coin is
-    ``recover_coin`` of the double dagger."""
+    """Reference: one iteration on full floored grids renormalized by their
+    sums.  The mixture is the data pushed back through the dagger of the
+    prediction channel, in the paper's channel form.  Each coin is the
+    floored frequency of the faces of every observed cell's fiber multisets,
+    weighted by their ``multinomial`` probability under the class's coin and
+    by the class's responsibility for the cell's data mass."""
     grid = grid_points(state.tosses, 2)
     chan = Channel(
         tuple(range(state.n_classes)),
@@ -60,13 +62,18 @@ def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig())
     )
     inversion = dagger(chan, state.mixture)
     mixture = floored(push(inversion, data_dist), range(state.n_classes), config.floor)
-    double = dagger(inversion, data_dist)
-    coins = tuple(
-        floored(recover_coin(double(x), state.tosses, infeasible="clamp").dist, TWO_BY_TWO,
-                config.floor)
-        for x in range(state.n_classes)
-    )
-    return EMState(mixture=mixture, coins=coins, tosses=state.tosses)
+    coins = []
+    for x, coin in enumerate(state.coins):
+        draws = dict(multinomial(state.tosses, coin).items())
+        faces = dict.fromkeys(TWO_BY_TWO, 0.0)
+        for n, mass in data_dist.items():
+            msets = fiber(state.tosses, *n)
+            weights = [draws[phi] for phi in msets]
+            for phi, w in zip(msets, weights):
+                for face in TWO_BY_TWO:
+                    faces[face] += mass * inversion(n)(x) * w / sum(weights) * phi(face)
+        coins.append(floored(Dist.from_weights(faces, mode=FLOAT), TWO_BY_TWO, config.floor))
+    return EMState(mixture=mixture, coins=tuple(coins), tosses=state.tosses)
 
 
 class TestInit:
@@ -102,17 +109,15 @@ class TestStep:
         assert new.mixture == Dist({0: 1.0})
 
     def test_single_class_converges_to_moment_fit(self, sampled_data):
-        # with one class the M-step is plain moment matching, so two steps
-        # land on the recover output of the data itself
-        from bitoss.binomials import recover_coin
-
+        # with one class every cell is the class's own, so its expected heads
+        # are the data's and one step lands each coin marginal on the moment
+        # fit's: the data mean over K, up to the floor
         data_dist = to_float(flrn(sampled_data))
-        target = recover_coin(data_dist, 15, infeasible="clamp").dist
-        state = em_init(1, 15, 3)
-        for _ in range(2):
-            state = em_step(state, data_dist)
-        for p, v in target.items():
-            assert float(state.coins[0](p)) == pytest.approx(float(v), abs=1e-6)
+        state = em_step(em_init(1, 15, 3), data_dist)
+        for i in (0, 1):
+            mean = sum(float(v) * p[i] for p, v in data_dist.items()) / 15
+            marginal = sum(float(v) for p, v in state.coins[0].items() if p[i])
+            assert marginal == pytest.approx(mean, abs=1e-8)
 
     def test_equal_coins_leave_mixture_unchanged(self, sampled_data):
         coin = to_float(MIXTURE_COINS[0].dist)
@@ -193,6 +198,21 @@ class TestRun:
             assert float(new_swapped.coins[1](p)) == pytest.approx(float(v), abs=1e-14)
         for p, v in new.coins[1].items():
             assert float(new_swapped.coins[0](p)) == pytest.approx(float(v), abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "tosses,n_classes,seeds", [(15, 2, range(20)), (15, 4, range(4)), (30, 2, range(4))]
+    )
+    def test_divergence_never_rises(self, tosses, n_classes, seeds):
+        # Up to the floors each iteration is an EM step, which cannot raise KL.
+        # The floors on the new mixture and coins lower no predicted cell by
+        # more than a factor (1 + C delta) (1 + 4 delta)^K, so they raise KL by
+        # at most (C + 4K) delta.
+        tol = (n_classes + 4 * tosses) * EMConfig().floor
+        data = sample(mixture_dist(tosses), 1000, 42)
+        for seed in seeds:
+            divs = em_run(data, n_classes, tosses, 10, seed).divergences()
+            rises = [b - a for a, b in zip(divs, divs[1:]) if b - a > tol]
+            assert not rises, (seed, rises)
 
     def test_trace_validation(self):
         state = em_init(1, 2, 1)
