@@ -15,9 +15,10 @@ from bitoss.serialize import grid_to_csv
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--outdir", default=".", help="directory for the CSV files")
+    ap.add_argument("--outdir", default=".", help="directory for the CSV files (created if missing)")
     args = ap.parse_args()
     outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     bell = binomial(20, Fraction(7, 10))
     row = ",".join(repr(float(bell(n))) for n in range(21))

@@ -46,6 +46,7 @@ from .kernel import (
     dist_map,
     enumerate_msets,
     moments,
+    over,
     point_coords,
     zero,
 )
@@ -173,59 +174,60 @@ def count_terms(tables, tosses: int):
 
 
 def _powers(weights, tosses: int, mode: str):
-    """``(tables, finish)`` for ``tosses`` draws over the given face weights:
-    per-face tables indexed by ``m`` from 0 to ``tosses``, and ``finish``,
-    which turns a sum of terms into a probability.  Rational tables hold
-    ``(D * w) ** m``, with ``D`` the weights' common denominator, over ``D **
-    tosses``; float tables hold ``log(w**m / m!)``, with ``0**0 = 1``."""
+    """``(tables, den)`` for ``tosses`` draws over the given face weights:
+    per-face tables indexed by ``m`` from 0 to ``tosses``, and the
+    denominator of a sum of terms.  Rational tables hold ``(D * w) ** m``,
+    with ``D`` the weights' common denominator, and ``den = D ** tosses``;
+    float tables hold ``log(w**m / m!)``, with ``0**0 = 1``, and no ``den``."""
     check_count(tosses, "toss count")
     if mode == FLOAT:
         span = range(tosses + 1)
         lw = [math.log(w) if w > 0 else -math.inf for w in weights]
-        return [[m * x - math.lgamma(m + 1) if m else 0.0 for m in span] for x in lw], float
+        return [[m * x - math.lgamma(m + 1) if m else 0.0 for m in span] for x in lw], None
     den = math.lcm(*(w.denominator for w in weights))
     nums = [w.numerator * (den // w.denominator) for w in weights]
-    scale = den**tosses
     powers = [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums]
-    return powers, lambda total: Fraction(total, scale)
+    return powers, den**tosses
 
 
 def face_terms(weights, tosses: int, mode: str):
-    """The multinomial term engine: ``(term, prob)`` for size-``tosses``
+    """The multinomial term engine: ``(term, den)`` for size-``tosses``
     draws from an urn with the given face weights.  ``term(counts)`` is
-    ``tosses! / prod(m!) * prod(w^m)`` over the draw's face counts ``m``, up
-    to a scale common to the urn (exact integers in rational mode, one
-    ``exp`` in log space in float mode, so nothing overflows at any K);
-    ``prob`` turns a sum of terms into a probability.  Only
-    :func:`multinomial`, the functorial oracle, uses it, in either mode;
-    binomials and two-coin cells read first-bit rows."""
-    tables, finish = _powers([coerce_scalar(w, mode) for w in weights], tosses, mode)
+    ``tosses! / prod(m!) * prod(w^m)`` over the draw's face counts ``m``:
+    an exact integer over ``den`` in rational mode; in float mode the
+    probability itself, one ``exp`` in log space so that nothing overflows
+    at any K, and ``den`` is ``None``.  Only :func:`multinomial`, the
+    functorial oracle, uses it, in either mode; binomials and two-coin cells
+    read first-bit rows."""
+    tables, den = _powers([coerce_scalar(w, mode) for w in weights], tosses, mode)
     if mode == RATIONAL:
-        return count_terms(tables, tosses), finish
+        return count_terms(tables, tosses), den
     lead = math.lgamma(tosses + 1)
-    return (lambda counts: math.exp(lead + sum(map(getitem, tables, counts)))), finish
+    return (lambda counts: math.exp(lead + sum(map(getitem, tables, counts)))), den
 
 
 def binomial(tosses: int, r) -> Dist:
     """Number of 1s in ``tosses`` flips of a coin with bias ``r``."""
     r = _check_probability(r)
     mode = FLOAT if isinstance(r, float) else RATIONAL
-    (off, on), finish = _powers([1 - r, r], tosses, mode)
-    row = _binomial_rows(off, on, mode)(tosses)
-    return Dist([(n, finish(t)) for n, t in enumerate(row)], mode=mode)
+    (off, on), den = _powers([1 - r, r], tosses, mode)
+    return Dist(enumerate(_binomial_rows(off, on, mode)(tosses)), mode, den)
 
 
 def multinomial(draws: int, omega: Dist) -> Dist:
     """Distribution of size-``draws`` multiset draws, with replacement,
     from the urn ``omega``."""
     faces = omega.support()
-    term, prob = face_terms([v for _, v in omega.items()], draws, omega.mode)
-
-    def draw_prob(phi: Multiset):
-        counts = dict(phi.items())
-        return prob(term([counts.get(x, 0) for x in faces]))
-
-    return Dist([(phi, draw_prob(phi)) for phi in enumerate_msets(faces, draws)], mode=omega.mode)
+    term, den = face_terms([v for _, v in omega.items()], draws, omega.mode)
+    msets = enumerate_msets(faces, draws)
+    index = {x: i for i, x in enumerate(faces)}
+    terms = []
+    for phi in msets:
+        counts = [0] * len(faces)
+        for x, m in phi.items():
+            counts[index[x]] = m
+        terms.append(term(counts))
+    return Dist(zip(msets, terms), omega.mode, den)
 
 
 def heads(phi: Multiset, n_dim: int | None = None):
@@ -241,6 +243,11 @@ def heads(phi: Multiset, n_dim: int | None = None):
         # the empty multiset has no point to read it from, and 0 fails the face test
         n_dim = len(point_coords(support[0])) if support else 0
     _check_faces(support, n_dim)
+    return _heads(phi, n_dim)
+
+
+def _heads(phi: Multiset, n_dim: int):
+    """:func:`heads` without the face check, for faces already checked."""
     counts = [0] * n_dim
     for p, m in phi.items():
         for i, bit in enumerate(p if n_dim > 1 else (p,)):
@@ -286,7 +293,8 @@ def fiber(tosses: int, n1: int, n2: int) -> list[Multiset]:
 def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
     """Multivariate binomial as a pushforward: enumerate all draws of the
     coin and map each through the marginal heads function."""
-    grid = dist_map(lambda phi: heads(phi, coin.n_dim), multinomial(tosses, coin.dist))
+    # the draws come from enumerate_msets over faces that Coin has checked
+    grid = dist_map(lambda phi: _heads(phi, coin.n_dim), multinomial(tosses, coin.dist))
     return GridDist(tosses, coin.n_dim, grid)
 
 
@@ -308,15 +316,16 @@ def _binomial_rows(off, on, mode: str):
 
 
 def _cell_terms(tosses: int, coin: Coin):
-    """``(terms, finish)`` for the grid cells of a two-coin, the fiber sum
+    """``(terms, den)`` for the grid cells of a two-coin, the fiber sum
     split on the first bit: the draw ``(a, b, c, d)`` = ``(#00, #01, #10,
     #11)`` has term ``lead[n1] * ones(n1)[d] * zeros(K-n1)[a]``, over
     second-bit rows for the tosses whose first bit is 1 and for the others.
     ``terms(n1, n2)`` is ``(lead[n1], low, products)``, with the row products
     for ``d`` from ``low`` up (``a - d = K - n1 - n2``, so the slices align),
-    and the cell is ``finish(lead[n1] * sum(products))``.  Rational rows hold
-    integer terms over ``D**K`` and ``lead[n1] = C(K, n1)``; float rows are
-    ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``, and ``lead`` is ``Bin(K, p1)``."""
+    and the cell is ``lead[n1] * sum(products)`` over ``den``.  Rational rows
+    hold integer terms over ``den = D**K`` and ``lead[n1] = C(K, n1)``; float
+    rows are ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``, and ``lead`` is
+    ``Bin(K, p1)``, with no ``den``."""
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
     weights = [coin.dist(p) for p in TWO_BY_TWO]
@@ -329,9 +338,9 @@ def _cell_terms(tosses: int, coin: Coin):
             return _binomial_rows(*_powers(pair, tosses, FLOAT)[0], FLOAT)
 
         lead = rows(p00 + p01, p10 + p11)(tosses)
-        ones, zeros, finish = rows(p10, p11), rows(p01, p00), float
+        ones, zeros, den = rows(p10, p11), rows(p01, p00), None
     else:
-        (p00, p01, p10, p11), finish = _powers(weights, tosses, RATIONAL)
+        (p00, p01, p10, p11), den = _powers(weights, tosses, RATIONAL)
         lead = [math.comb(tosses, n1) for n1 in range(tosses + 1)]
         ones, zeros = _binomial_rows(p10, p11, RATIONAL), _binomial_rows(p01, p00, RATIONAL)
 
@@ -342,7 +351,7 @@ def _cell_terms(tosses: int, coin: Coin):
         bottom = zeros(tosses - n1)[low + shift : high + shift + 1]
         return lead[n1], low, list(map(mul, top, bottom))
 
-    return terms, finish
+    return terms, den
 
 
 def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
@@ -351,11 +360,11 @@ def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
     Points outside the ``{0,...,K}^2`` grid have probability zero, matching
     distribution-call semantics.
     """
-    terms, finish = _cell_terms(tosses, coin)
+    terms, den = _cell_terms(tosses, coin)
     if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
         return zero(coin.dist.mode)
     lead, _, products = terms(n1, n2)
-    return finish(lead * sum(products))
+    return over(lead * sum(products), den)
 
 
 def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
@@ -364,11 +373,12 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
     Agrees exactly with :func:`mvbin_functorial` in rational mode but never
     materializes the full multinomial: each cell sums the fiber's terms
     split on the first bit, as products of two conditional binomial rows.
+    Rational cells go to the distribution as integer numerators over ``D**K``.
     """
-    terms, finish = _cell_terms(tosses, coin)
+    terms, den = _cell_terms(tosses, coin)
     grid = grid_points(tosses, 2)
-    cells = [(n, finish(lead * sum(p))) for n, (lead, _, p) in zip(grid, starmap(terms, grid))]
-    return GridDist(tosses, 2, Dist(cells, mode=coin.dist.mode))
+    cells = [lead * sum(p) for lead, _, p in starmap(terms, grid)]
+    return GridDist(tosses, 2, Dist(zip(grid, cells), coin.dist.mode, den))
 
 
 def bivbin_tails(tosses: int, coin: Coin) -> GridDist:

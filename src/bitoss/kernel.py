@@ -15,8 +15,9 @@ Probabilities come in two modes that are never mixed silently:
 * ``"float"``, IEEE-754 doubles, for EM, KL divergence, and Poisson work.
 
 Operations that combine two distributions require equal modes and raise
-:class:`ModeMismatch` otherwise.  Exact sums run on integer numerators over
-one common denominator (:func:`exact_weights`), not as `Fraction` adds.
+:class:`ModeMismatch` otherwise.  A rational :class:`Dist` stores integer
+numerators over one common denominator, and exact sums run on those
+integers, not as `Fraction` adds; each `Fraction` is built on first read.
 
 The :class:`Dist` and :class:`Multiset` constructors are the one place that
 adds up repeated points: pushforwards, mixtures and convolutions hand them
@@ -32,7 +33,8 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
 RATIONAL = "rational"
@@ -117,16 +119,10 @@ def coerce_scalar(value, mode: str):
     raise OutOfRange(f"unknown mode {mode!r}")
 
 
-def exact_weights(values: Iterable, mode: str) -> tuple[list, Callable]:
-    """``(weights, finish)``: ``finish`` of any integer combination of the
-    weights is that combination of ``values``.  Rational weights are integer
-    numerators over the least common denominator ``L``, ``finish(s) =
-    Fraction(s, L)``; float weights are the values, ``finish`` the identity."""
-    values = list(values)
-    if mode != RATIONAL:
-        return values, lambda s: s
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], lambda s: Fraction(s, den)
+def over(num, den):
+    """``num / den`` as a value: the `Fraction` for an ``int`` denominator,
+    ``num`` itself when ``den`` is ``None`` (float mode)."""
+    return num if den is None else Fraction(num, den)
 
 
 def check_count(value, name: str, low: int = 0) -> int:
@@ -239,52 +235,59 @@ class Multiset:
 class Dist:
     """An immutable finite probability distribution.
 
-    Built from ``(point, probability)`` pairs or a mapping.  Probabilities at
-    a repeated point add up (exactly in rational mode, in the given order in
-    float mode), zero entries are dropped, and a negative or NaN entry raises
-    :class:`OutOfRange`, so the support is exactly the stored key set.
-    Construction validates normalization: exactly one in rational mode,
-    within ``FLOAT_NORM_TOL`` in float mode.  Entries are kept in sorted
-    point order, with a dict index for lookups.
+    Built from ``(point, probability)`` pairs or a mapping, or, given
+    ``den``, from ``(point, integer numerator)`` pairs over ``den`` (rational
+    mode).  Probabilities at a repeated point add up (exactly in rational
+    mode, in the given order in float mode), zero entries are dropped, and a
+    negative or NaN entry raises :class:`OutOfRange`, so the support is
+    exactly the stored key set.  Construction validates normalization:
+    exactly one in rational mode, within ``FLOAT_NORM_TOL`` in float mode.
+
+    The sorted points are kept with their weights: the values in float mode;
+    in rational mode integer numerators over one denominator, divided by
+    their gcd, which makes the denominator the lcm of the lowest-terms ones
+    and the pair canonical.  `Fraction` values and the lookup index are
+    built on first read.
     """
 
-    __slots__ = ("_entries", "_index", "_mode")
+    __slots__ = ("_points", "_nums", "_den", "_entries", "_index")
 
-    def __init__(self, entries: Mapping | Iterable[tuple[object, object]], mode: str | None = None):
-        items = list(entries.items() if isinstance(entries, Mapping) else entries)
-        if mode is None:
-            mode = FLOAT if any(isinstance(v, float) for _, v in items) else RATIONAL
-        kind = _SCALAR_TYPES.get(mode)
-        values = [v if type(v) is kind else coerce_scalar(v, mode) for _, v in items]
-        weights, finish = exact_weights(values, mode)
+    def __init__(self, entries: Mapping | Iterable[tuple], mode: str | None = None, den: int | None = None):
+        items = entries.items() if isinstance(entries, Mapping) else entries
+        if den is not None:
+            if mode not in (None, RATIONAL):
+                raise ModeMismatch(f"numerators over a denominator are rational, not {mode}")
+            check_count(den, "denominator", 1)
+        else:
+            items = list(items)
+            if mode is None:
+                mode = FLOAT if any(isinstance(v, float) for _, v in items) else RATIONAL
+            kind = _SCALAR_TYPES.get(mode)
+            values = [v if type(v) is kind else coerce_scalar(v, mode) for _, v in items]
+            if mode == RATIONAL:
+                den = math.lcm(*(v.denominator for v in values))
+                values = [v.numerator * (den // v.denominator) for v in values]
+            items = zip([p for p, _ in items], values)
         sums: dict = {}
-        repeated = set()
-        for (point, given), w in zip(items, weights):
+        for point, w in items:
             if w > 0:
-                if point in sums:
-                    sums[point] += w
-                    repeated.add(point)
-                else:
-                    sums[point] = w
+                sums[point] = sums[point] + w if point in sums else w
             elif w:
-                raise OutOfRange(f"probability {given} at {point!r} is negative or NaN")
+                raise OutOfRange(f"probability {over(w, den)} at {point!r} is negative or NaN")
         if not sums:
             raise NotNormalized("a distribution needs positive total mass")
-        total = finish(sum(sums.values()))
-        if mode == FLOAT:
+        total = sum(sums.values())  # float weights add up in the given order
+        points = tuple(sorted(sums))  # distinct points, so no weight is compared
+        nums = tuple(map(sums.__getitem__, points))
+        if den is None:
             if abs(total - 1.0) > FLOAT_NORM_TOL:
                 raise NotNormalized(f"float probabilities sum to {total!r}")
-            index = sums  # float weights are the values, summed in the given order
-        else:
-            if total != 1:
-                raise NotNormalized(f"rational probabilities sum to {total}, not 1")
-            # keep each given value; rebuild only the repeated points' sums
-            index = {p: v for (p, _), v, w in zip(items, values, weights) if w > 0}
-            for point in repeated:
-                index[point] = finish(sums[point])
-        object.__setattr__(self, "_entries", tuple(sorted(index.items())))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_mode", mode)
+        elif total != den:
+            raise NotNormalized(f"rational probabilities sum to {Fraction(total, den)}, not 1")
+        elif (g := math.gcd(*nums)) > 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        self._points, self._nums, self._den, self._entries = points, nums, den, None
+        self._index = sums if den is None else None
 
     @classmethod
     def from_weights(cls, weights: Mapping | Iterable[tuple[object, object]], mode: str | None = None) -> "Dist":
@@ -300,33 +303,36 @@ class Dist:
 
     @property
     def mode(self) -> str:
-        return self._mode
+        return FLOAT if self._den is None else RATIONAL
 
     def support(self) -> tuple:
-        return tuple(p for p, _ in self._entries)
+        return self._points
 
     def items(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple(zip(self._points, map(over, self._nums, repeat(self._den))))
         return self._entries
 
     def __call__(self, point):
+        if self._index is None:
+            self._index = dict(self.items())
         try:
             return self._index[point]
         except KeyError:
-            return zero(self._mode)
+            return zero(self.mode)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Dist)
-            and self._mode == other._mode
-            and self._entries == other._entries
+        # the stored triple is canonical, so it decides equality of the values
+        return isinstance(other, Dist) and (self._den, self._points, self._nums) == (
+            other._den, other._points, other._nums
         )
 
     def __hash__(self) -> int:
-        return hash((self._mode, self._entries))
+        return hash((self._den, self._points, self._nums))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{v}|{p}>" for p, v in self._entries)
-        return f"Dist[{self._mode}]({body})"
+        body = " + ".join(f"{v}|{p}>" for p, v in self.items())
+        return f"Dist[{self.mode}]({body})"
 
 
 def to_float(omega: Dist) -> Dist:
@@ -355,7 +361,7 @@ def flrn(phi: Multiset) -> Dist:
     total = phi.size
     if total == 0:
         raise EmptyMultiset("cannot normalize the empty multiset")
-    return Dist({p: Fraction(m, total) for p, m in phi.items()}, mode=RATIONAL)
+    return Dist(phi.items(), den=total)
 
 
 def mset_cap() -> int:
@@ -423,7 +429,7 @@ def mset_coefficient(phi: Multiset) -> int:
 
 def dist_map(f: Callable, omega: Dist) -> Dist:
     """Push a distribution forward along a function on points."""
-    return Dist([(f(p), v) for p, v in omega.items()], mode=omega.mode)
+    return Dist(zip(map(f, omega.support()), omega._nums), omega.mode, omega._den)
 
 
 def _is_int_point(p) -> bool:
@@ -525,17 +531,16 @@ class Moments(NamedTuple):
 
 def moments(omega: Dist) -> Moments:
     """Mean vector, variance vector, and covariance matrix of a distribution
-    on numeric points, from coordinate sums over :func:`exact_weights`."""
+    on numeric points, from coordinate sums over its stored weights (exact
+    integer sums over one denominator in rational mode)."""
     coords = [point_coords(p) for p in omega.support()]
     dim = len(coords[0])
     if any(len(c) != dim for c in coords):
         raise WrongSpace("points have inconsistent dimensions")
-    weights, finish = exact_weights((v for _, v in omega.items()), omega.mode)
-    mean = tuple(finish(sum(w * c[i] for w, c in zip(weights, coords))) for i in range(dim))
-    second = [
-        [finish(sum(w * c[i] * c[j] for w, c in zip(weights, coords))) for j in range(dim)]
-        for i in range(dim)
-    ]
+    cols = list(zip(*coords))
+    weighted = [list(map(mul, omega._nums, col)) for col in cols]
+    mean = tuple(over(sum(w), omega._den) for w in weighted)
+    second = [[over(sum(map(mul, w, col)), omega._den) for col in cols] for w in weighted]
     cov = tuple(
         tuple(second[i][j] - mean[i] * mean[j] for j in range(dim)) for i in range(dim)
     )
@@ -596,11 +601,10 @@ def sample(omega: Dist, n: int, seed: int) -> Multiset:
     """
     check_count(n, "sample size")
     points = omega.support()
-    cum = list(accumulate(exact_weights((v for _, v in omega.items()), omega.mode)[0]))
+    cum = list(accumulate(omega._nums))
     last = len(points) - 1
     if omega.mode == RATIONAL:
-        den = cum[-1]  # the numerators of a normalized distribution sum to L
-        draws = ((counter_rng(seed, i) * den) >> 64 for i in range(n))
+        draws = ((counter_rng(seed, i) * omega._den) >> 64 for i in range(n))
     else:
         draws = (counter_rng(seed, i) / 2**64 for i in range(n))
     # a float cumulative may fall just short of 1

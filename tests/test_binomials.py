@@ -374,8 +374,8 @@ def per_draw_cell(tosses: int, coin: Coin, n1: int, n2: int) -> Fraction:
     """Independent reference for rational cells: the fiber sum with one full
     multinomial term per draw, as the grid was built before the first-bit
     split."""
-    term, prob = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, RATIONAL)
-    return prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+    term, den = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, RATIONAL)
+    return Fraction(sum(term(c) for c in fiber_counts(tosses, n1, n2)), den)
 
 
 @lru_cache(maxsize=None)
@@ -388,8 +388,8 @@ def per_draw_float_cell(tosses: int, coin: Coin, n1: int, n2: int) -> float:
     """Reference for float cells: the fiber sum with one log-space
     multinomial term per draw, as float grids were built before the
     first-bit split."""
-    term, prob = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, FLOAT)
-    return prob(sum(term(c) for c in fiber_counts(tosses, n1, n2)))
+    term, _ = face_terms([coin.dist(p) for p in TWO_BY_TWO], tosses, FLOAT)
+    return sum(term(c) for c in fiber_counts(tosses, n1, n2))
 
 
 @lru_cache(maxsize=None)

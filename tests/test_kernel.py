@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
@@ -43,6 +44,7 @@ from bitoss.binomials import (
     bit_points,
     bivbin,
     flip,
+    mvbin_functorial,
     recover_coin,
     two_coin,
 )
@@ -54,7 +56,14 @@ from bitoss.succession import (
     bivbin_poisson_mean,
 )
 
-from conftest import EXAMPLE_COIN, multisets, rational_dists, summed
+from conftest import (
+    EXAMPLE_COIN,
+    multisets,
+    random_rational_coin,
+    random_rational_dist,
+    rational_dists,
+    summed,
+)
 
 URN = Multiset({"R": 3, "G": 2, "B": 5})
 
@@ -304,6 +313,78 @@ class TestCoerceScalar:
         assert type(coerce_scalar(3, FLOAT)) is float
         got = coerce_scalar(3, RATIONAL)
         assert type(got) is Fraction and got == 3
+
+
+# ---------------------------------------------------------------------------
+# The stored numerators over one denominator
+# ---------------------------------------------------------------------------
+
+
+class TestNumerators:
+    # the example coin's faces are over D = 24, so its K = 3 grid is over D**3
+    CELLS = dict(bivbin(3, EXAMPLE_COIN).dist.items())
+
+    def three_ways(self) -> list:
+        """The same grid from Fractions, and from integer numerators over
+        ``L``, ``2 L``, ``D**K`` and ``(2 D)**K``."""
+        cells = self.CELLS
+        low = math.lcm(*(v.denominator for v in cells.values()))
+        assert 24**3 % low == 0
+        over = [Dist({p: int(v * den) for p, v in cells.items()}, den=den)
+                for den in (low, 2 * low, 24**3, 48**3)]
+        return [Dist(cells)] + over
+
+    def test_three_ways_agree(self):
+        first, *rest = self.three_ways()
+        for other in rest:
+            assert other == first and hash(other) == hash(first)
+            assert other.items() == first.items() and other.support() == first.support()
+            assert repr(other) == repr(first)
+            assert moments(other) == moments(first)
+            assert sample(other, 500, 17) == sample(first, 500, 17)
+        assert first.items() == tuple(sorted(self.CELLS.items()))
+        assert all(type(v) is Fraction for _, v in first.items())
+
+    def test_sum_must_be_the_denominator(self):
+        with pytest.raises(NotNormalized):
+            Dist({0: 1, 1: 1}, den=3)
+        with pytest.raises(NotNormalized):
+            Dist({0: 1, 1: 0}, den=2)
+
+    def test_negative_numerator_rejected(self):
+        with pytest.raises(OutOfRange):
+            Dist({0: 3, 1: -1}, den=2)
+        with pytest.raises(OutOfRange):
+            Dist([(0, 3), (0, -1), (1, 1)], den=3)
+
+    def test_denominator_is_a_positive_int_and_rational(self):
+        for den in (0, True, 2.0):
+            with pytest.raises(OutOfRange):
+                Dist({0: 1, 1: 1}, den=den)
+        with pytest.raises(ModeMismatch):
+            Dist({0: 1}, mode=FLOAT, den=1)
+        assert Dist({0: 1, 1: 1}, mode=RATIONAL, den=2) == Dist({0: HALF, 1: HALF})
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 7), st.integers(1, 30))
+    def test_round_trip(self, rng, n_points, scale):
+        omega = random_rational_dist(rng, range(n_points))
+        den = scale * math.lcm(*(v.denominator for _, v in omega.items()))
+        # each numerator split in two, so the parts add up at their point
+        parts = [(p, part) for p, v in omega.items()
+                 for part in (int(v * den) // 3, int(v * den) - int(v * den) // 3)]
+        again = Dist(parts, den=den)
+        assert again == omega and hash(again) == hash(omega)
+        assert again.items() == omega.items() and repr(again) == repr(omega)
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_bivbin_equals_functorial(self, n_dim):
+        coin = random_rational_coin(random.Random(7 + n_dim), n_dim)
+        acc = Dist({(0,) * n_dim: 1})
+        for tosses in range(1, 5):
+            acc = convolve(acc, coin.dist)  # no multinomial term: an independent grid
+            got = bivbin(tosses, coin).dist
+            assert got == mvbin_functorial(tosses, coin).dist == acc
+            assert hash(got) == hash(acc) and got.items() == acc.items()
 
 
 # ---------------------------------------------------------------------------
