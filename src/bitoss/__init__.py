@@ -13,6 +13,7 @@ from .kernel import (
     DomainMismatch,
     EmptyMultiset,
     FLOAT,
+    Infeasible,
     ModeMismatch,
     Multiset,
     NotNormalized,

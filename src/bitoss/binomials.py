@@ -36,6 +36,7 @@ from operator import getitem, mul
 from .kernel import (
     Dist,
     FLOAT,
+    Infeasible,
     Multiset,
     OutOfRange,
     RATIONAL,
@@ -410,21 +411,22 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
         g(1,1) = c/K + m1*m2/K^2,   g(1,0) = m1/K - g(1,1),
         g(0,1) = m2/K - g(1,1),     g(0,0) = 1 - the rest.
 
+    A :class:`GridDist` of other than ``tosses`` tosses raises :class:`OutOfRange`.
     For inputs that are exactly bivariate binomials this is an exact round
     trip in rational mode.  Otherwise the derived entries may leave [0, 1]:
     with ``infeasible="error"`` anything beyond the float tolerance raises
-    :class:`OutOfRange`; with ``infeasible="clamp"`` entries are clamped into
+    :class:`Infeasible`; with ``infeasible="clamp"`` entries are clamped into
     [0, 1] and renormalized (logged), which ``recover --clamp`` asks for.
     """
     if infeasible not in ("error", "clamp"):
         raise OutOfRange(f"infeasible must be 'error' or 'clamp', got {infeasible!r}")
     check_count(tosses, "toss count", 1)
     dist = grid.dist if isinstance(grid, GridDist) else grid
-    if isinstance(grid, GridDist) and grid.n_dim != 2:
-        raise OutOfRange(f"requires a two-dimensional grid, got N={grid.n_dim}")
+    if isinstance(grid, GridDist) and grid.tosses != tosses:
+        raise OutOfRange(f"the grid has K={grid.tosses} tosses, not {tosses}")
     stats = moments(dist)
     if len(stats.mean) != 2:
-        raise WrongSpace("grid points must be pairs of counts")
+        raise WrongSpace(f"grid points must be pairs of counts, got dimension {len(stats.mean)}")
     m1, m2 = stats.mean
     g11 = stats.cov[0][1] / tosses + (m1 * m2) / (tosses * tosses)
     g10 = m1 / tosses - g11
@@ -434,7 +436,7 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
     tol = RECOVER_FLOAT_TOL if dist.mode == FLOAT else 0
     out_of_band = [p for p, v in entries.items() if v < -tol or v > 1 + tol]
     if out_of_band and infeasible == "error":
-        raise OutOfRange(
+        raise Infeasible(
             f"derived entries {entries!r} are not a two-coin (infeasible moments)"
         )
     clamped = {p: min(max(v, zero(dist.mode)), 1) for p, v in entries.items()}

@@ -8,8 +8,9 @@ posterior means), and ``recover`` (read a two-coin off grid moments).
 Every run is a pure function of its flags and input files; seeds are
 explicit, so outputs are byte-identical across repeated invocations.
 
-Exit codes: 0 success, 2 usage or malformed input, 3 enumeration resource
-limit, 4 support mismatch, 5 infeasible moments.
+Exit codes (:data:`EXIT_CODES`): 0 success, 3 ``ResourceLimit``, 4
+``SupportMismatch`` or ``DomainMismatch``, 5 ``Infeasible`` moments, and 2
+for any other ``BitossError``: usage or malformed input.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .kernel import (
     BitossError,
     Dist,
     DomainMismatch,
-    OutOfRange,
+    Infeasible,
     ResourceLimit,
     SupportMismatch,
     point_coords,
@@ -35,9 +36,9 @@ from .kernel import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_RESOURCE = 3
-EXIT_SUPPORT = 4
-EXIT_INFEASIBLE = 5
+# a BitossError exits with the code of the first class of its MRO listed here,
+# and with EXIT_USAGE if none is
+EXIT_CODES = {ResourceLimit: 3, SupportMismatch: 4, DomainMismatch: 4, Infeasible: 5}
 
 
 class UsageError(BitossError):
@@ -136,17 +137,7 @@ def cmd_em(args) -> int:
 
 def cmd_recover(args) -> int:
     grid = serialize.grid_from_json(_load_json(args.grid))
-    if grid.n_dim != 2:
-        raise UsageError(f"recover needs a two-dimensional grid, got N={grid.n_dim}")
-    if args.K < 1:
-        raise UsageError(f"--K must be >= 1, got {args.K}")
-    if grid.tosses != args.K:
-        raise UsageError(f"grid file has K={grid.tosses}, flag says {args.K}")
-    try:
-        coin = binomials.recover_coin(grid, args.K, infeasible="clamp" if args.clamp else "error")
-    except OutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    coin = binomials.recover_coin(grid, args.K, infeasible="clamp" if args.clamp else "error")
     doc = serialize.dist_to_json(coin.dist)
     doc["clamped"] = bool(args.clamp)
     sys.stdout.write(serialize.dumps(doc))
@@ -171,10 +162,8 @@ def cmd_succession(args) -> int:
     elif rule == "poisson-binomial":
         mean = succession.binomial_poisson_mean(args.r, args.rate, args.n)
     elif rule == "poisson-bivbin":
-        coin = _coin_from_file(args.coin, 2)
+        coin = _coin_from_file(args.coin)
         mean = succession.bivbin_poisson_mean(coin, args.rate, args.n1, args.n2)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown rule {rule!r}")
     sys.stdout.write(_mean_json(rule, mean))
     return EXIT_OK
 
@@ -265,15 +254,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except ResourceLimit as exc:
+    except BitossError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (SupportMismatch, DomainMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUPPORT
-    except (UsageError, BitossError, serialize.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES), EXIT_USAGE)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,6 +78,10 @@ class OutOfRange(BitossError):
     """A numeric parameter is outside its admissible range."""
 
 
+class Infeasible(OutOfRange):
+    """Moments that no distribution of the required kind has."""
+
+
 class DegenerateObservation(BitossError):
     """An observation has zero probability under the model."""
 

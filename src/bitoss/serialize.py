@@ -25,10 +25,10 @@ from fractions import Fraction
 
 from .binomials import GridDist
 from .em import EMState, EMTrace
-from .kernel import Dist, FLOAT, Multiset, OutOfRange, RATIONAL, _is_int_point, point_coords
+from .kernel import BitossError, Dist, FLOAT, Multiset, OutOfRange, RATIONAL, _is_int_point, point_coords
 
 
-class FormatError(ValueError):
+class FormatError(BitossError, ValueError):
     """Raised when a JSON document does not match the documented schema."""
 
 

@@ -170,18 +170,16 @@ def bivbin_dirichlet_mean_oracle(
 
 def _poisson_log_pmf(rate: float, k: int) -> float:
     """``log(e^(-rate) * rate^k / k!)``, ``-inf`` where the pmf is zero."""
-    if k < 0:
-        return -math.inf
     if rate == 0.0:
         return 0.0 if k == 0 else -math.inf
     return k * math.log(rate) - rate - math.lgamma(k + 1)
 
 
 def poisson_pmf(rate: float, k: int) -> float:
-    """``e^(-rate) * rate^k / k!``, computed in log space."""
+    """``e^(-rate) * rate^k / k!`` for a count ``k``, computed in log space."""
     if not 0 <= rate < math.inf:
         raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    return math.exp(_poisson_log_pmf(rate, k))
+    return math.exp(_poisson_log_pmf(rate, check_count(k, "count")))
 
 
 def default_truncation(rate: float) -> int:

@@ -33,6 +33,7 @@ from bitoss.binomials import (
 from bitoss.kernel import (
     Dist,
     FLOAT,
+    Infeasible,
     Multiset,
     OutOfRange,
     RATIONAL,
@@ -619,3 +620,25 @@ class TestRecover:
         coin = recover_coin(grid, 5)
         for p, v in example_coin.dist.items():
             assert float(coin.dist(p)) == pytest.approx(float(v), abs=1e-12)
+
+    def test_infeasible_moments_are_infeasible(self):
+        grid = GridDist(2, 2, Dist({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}))
+        with pytest.raises(Infeasible):
+            recover_coin(grid, 2)
+
+    @pytest.mark.parametrize("grid_tosses, tosses", [(3, 2), (4, 2), (2, 3)])
+    def test_other_toss_count_is_refused(self, grid_tosses, tosses):
+        # read with 2, the uniform coin's K = 3 grid gave 9/16 at (1, 1), and
+        # its K = 4 grid all the mass
+        quarter = Fraction(1, 4)
+        grid = bivbin(grid_tosses, two_coin(quarter, quarter, quarter, quarter))
+        with pytest.raises(OutOfRange) as caught:
+            recover_coin(grid, tosses)
+        assert not isinstance(caught.value, Infeasible)
+        assert recover_coin(grid.dist, grid_tosses).dist == Dist({p: quarter for p in TWO_BY_TWO})
+
+    @pytest.mark.parametrize("n_dim", [1, 3])
+    def test_grid_of_other_dimension_names_it(self, n_dim):
+        grid = bivbin(2, Coin(n_dim, Dist.from_weights({p: 1 for p in bit_points(n_dim)})))
+        with pytest.raises(WrongSpace, match=f"dimension {n_dim}"):
+            recover_coin(grid, 2)

@@ -485,3 +485,77 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run() == 2
+
+
+def _entries(*pairs, mode="rational"):
+    """A distribution document with one entry per ``(point, weight)`` pair."""
+    if mode == "float":
+        return {"mode": mode, "entries": [{"point": p, "p": w} for p, w in pairs]}
+    return {"mode": mode, "entries": [{"point": p, "num": n, "den": d} for p, (n, d) in pairs]}
+
+
+_HALF = (1, 2)
+# Malformed and edge-case input documents, each read by every command of
+# CORPUS_COMMANDS; a str is written as it is, anything else as JSON.
+CORPUS = {
+    "not json": "{not json",
+    "empty file": "",
+    "null": "null",
+    "array": "[]",
+    "no entries": {"mode": "rational"},
+    "unknown mode": {"mode": "exact", "entries": []},
+    "no points": _entries(),
+    "zero den": _entries(([0, 0], (1, 0))),
+    "negative num": _entries(([0, 0], (-1, 1)), ([1, 1], (2, 1))),
+    "sum one third": _entries(([0, 0], (1, 3))),
+    "float num": _entries(([0, 0], (1.5, 1))),
+    "nan p": _entries(([0, 0], "nan"), mode="float"),
+    "text p": _entries(([0, 0], "x"), mode="float"),
+    "bool point": _entries(([True], _HALF), ([0], _HALF)),
+    "text point": _entries(("ab", (1, 1))),
+    "1-coin": _entries(([0], _HALF), ([1], _HALF)),
+    "3-coin": _entries(([1, 1, 1], (1, 1))),
+    "4-coin": _entries(([1, 1, 1, 1], (1, 1))),
+    "off the faces": _entries(([2, 0], (1, 1))),
+    "anti-diagonal grid": _entries(([2, 0], _HALF), ([0, 2], _HALF)) | {"K": 2, "N": 2},
+    "grid of other K": _entries(([0, 0], (1, 1))) | {"K": 3, "N": 2},
+    "grid K -1": _entries(([0, 0], (1, 1))) | {"K": -1, "N": 2},
+    "grid K text": _entries(([0, 0], (1, 1))) | {"K": "2", "N": 2},
+    "grid N 3, pair points": _entries(([0, 0], (1, 1))) | {"K": 2, "N": 3},
+    "grid point off the grid": _entries(([3, 0], (1, 1))) | {"K": 2, "N": 2},
+    "negative mult": {"entries": [{"point": [0, 0], "mult": -1}]},
+    "float mult": {"entries": [{"point": [0, 0], "mult": 1.5}]},
+    "bool mult": {"entries": [{"point": [0, 0], "mult": True}]},
+    "no mult": {"entries": [{"point": [0, 0]}]},
+    "entries object": {"entries": {}},
+    "empty multiset": {"entries": []},
+    "multiset off the grid": {"entries": [{"point": [5, 5], "mult": 1}]},
+    "mixed dimensions": {"entries": [{"point": [0], "mult": 1}, {"point": [0, 0], "mult": 1}]},
+}
+
+CORPUS_COMMANDS = [
+    ["bivbin", "--coin", "{f}", "--K", 2, "--out", "o.json", "--csv", "o.csv"],
+    ["sample", "--dist", "{f}", "--n", 3, "--seed", 1, "--out", "s.json"],
+    ["em", "--data", "{f}", "--K", 2, "--classes", 2, "--iters", 1, "--seed", 0,
+     "--out", "state.json", "--trace", "trace.csv"],
+    ["recover", "--grid", "{f}", "--K", 2],
+    ["recover", "--grid", "{f}", "--K", 0],
+    ["recover", "--grid", "{f}", "--K", -1, "--clamp"],
+    ["succession", "dirichlet", "--psi", "{f}", "--draw", "{f}"],
+    ["succession", "bivbin-dirichlet", "--psi", "{f}", "--K", 2, "--n1", 1, "--n2", 1],
+    ["succession", "poisson-bivbin", "--coin", "{f}", "--rate", 1, "--n1", 1, "--n2", 0],
+]
+
+
+class TestMalformedCorpus:
+    """Every failure is a documented exit code: no input makes ``main`` raise."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_every_command_exits_with_a_documented_code(self, tmp_path, monkeypatch, capsys, name):
+        doc = CORPUS[name]
+        path = tmp_path / "input.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        for argv in CORPUS_COMMANDS:
+            code = run(*(str(path) if a == "{f}" else a for a in argv))
+            assert code in (0, 2, 3, 4, 5), argv

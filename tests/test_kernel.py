@@ -54,6 +54,7 @@ from bitoss.succession import (
     PoissonParams,
     binomial_poisson_mean,
     bivbin_poisson_mean,
+    poisson_pmf,
 )
 
 from conftest import (
@@ -690,6 +691,7 @@ COUNT_ARGUMENTS = [
                  id="bivbin_poisson_mean.n1"),
     pytest.param(lambda v: bivbin_poisson_mean(EXAMPLE_COIN, 1.0, 0, v), 0,
                  id="bivbin_poisson_mean.n2"),
+    pytest.param(lambda v: poisson_pmf(1.0, v), 0, id="poisson_pmf"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from bitoss.binomials import bivbin
 from bitoss.em import em_run
-from bitoss.kernel import Multiset, OutOfRange, sample, to_float
+from bitoss.kernel import BitossError, Multiset, OutOfRange, sample, to_float
 from bitoss.serialize import (
     FormatError,
     dist_from_json,
@@ -42,6 +42,9 @@ class TestPoints:
             point_from_json([])
         with pytest.raises(FormatError):
             point_from_json("nope")
+
+    def test_format_error_is_a_bitoss_value_error(self):
+        assert issubclass(FormatError, BitossError) and issubclass(FormatError, ValueError)
 
     @pytest.mark.parametrize("obj", [[True], [False], [1, False], [0, True, 1]])
     def test_bools_refused(self, obj):
