@@ -56,7 +56,6 @@ from .em import EMConfig, EMState, EMTrace, em_init, em_run, em_step
 from .succession import (
     BetaParams,
     DirichletParams,
-    PoissonParams,
     beta_succession_mean,
     beta_update,
     binomial_poisson_mean,
@@ -66,7 +65,6 @@ from .succession import (
     dirichlet_succession_mean,
     dirichlet_update,
     poisson_pmf,
-    truncated_dagger_mean,
 )
 
 __version__ = "0.1.0"

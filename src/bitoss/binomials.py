@@ -66,11 +66,6 @@ def grid_points(size: int, n_dim: int) -> tuple:
     return tuple(product(range(size + 1), repeat=n_dim))
 
 
-def bit_points(n_dim: int) -> tuple:
-    """The faces ``{0,1}^N``: the count grid of one toss."""
-    return grid_points(1, n_dim)
-
-
 def off_grid(points, size: int, n_dim: int) -> list:
     """The points that are not on the count grid ``{0,...,size}^N``, where a
     point is a bare count when N = 1 and an N-tuple of counts otherwise, and
@@ -110,14 +105,6 @@ class Coin:
                 f"dimension {self.n_dim} exceeds the supported maximum {MAX_DIMENSION}"
             )
         _check_faces(self.dist.support(), self.n_dim)
-
-    def heads_probability(self, coord: int):
-        """Marginal probability of a 1 in the given coordinate (0-based)."""
-        if not 0 <= coord < self.n_dim:
-            raise OutOfRange(f"coordinate {coord} out of range for N={self.n_dim}")
-        if self.n_dim == 1:
-            return self.dist(1)
-        return dist_map(lambda p: p[coord], self.dist)(1)
 
 
 @dataclass(frozen=True)
@@ -266,7 +253,9 @@ def fiber_counts(tosses: int, n1: int, n2: int) -> list[tuple[int, int, int, int
     for ``j`` (the count of ``|1,1>``) from ``min(n1, n2)`` down to
     ``max(0, n1+n2-K)``.
     """
-    if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
+    check_count(n1, "n1")
+    check_count(n2, "n2")
+    if check_count(tosses, "toss count") < max(n1, n2):
         raise OutOfRange(f"heads ({n1}, {n2}) out of range for {tosses} tosses")
     return [
         (tosses - n1 - n2 + j, n2 - j, n1 - j, j)
@@ -412,6 +401,9 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
         g(0,1) = m2/K - g(1,1),     g(0,0) = 1 - the rest.
 
     A :class:`GridDist` of other than ``tosses`` tosses raises :class:`OutOfRange`.
+    A bare :class:`Dist` is read as a grid of ``tosses`` tosses, so a point
+    beyond them raises :class:`WrongSpace`, but a support that fits inside a
+    larger grid cannot be told apart.
     For inputs that are exactly bivariate binomials this is an exact round
     trip in rational mode.  Otherwise the derived entries may leave [0, 1]:
     with ``infeasible="error"`` anything beyond the float tolerance raises
@@ -421,9 +413,11 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
     if infeasible not in ("error", "clamp"):
         raise OutOfRange(f"infeasible must be 'error' or 'clamp', got {infeasible!r}")
     check_count(tosses, "toss count", 1)
-    dist = grid.dist if isinstance(grid, GridDist) else grid
-    if isinstance(grid, GridDist) and grid.tosses != tosses:
+    if not isinstance(grid, GridDist):
+        grid = GridDist(tosses, len(point_coords(grid.support()[0])), grid)
+    if grid.tosses != tosses:
         raise OutOfRange(f"the grid has K={grid.tosses} tosses, not {tosses}")
+    dist = grid.dist
     stats = moments(dist)
     if len(stats.mean) != 2:
         raise WrongSpace(f"grid points must be pairs of counts, got dimension {len(stats.mean)}")

@@ -3,7 +3,7 @@
 The model is a mixture distribution over class labels together with one
 two-coin per class; class ``x`` predicts the grid distribution of its coin
 after ``K`` tosses.  One iteration performs the E-step as a Jeffrey update
-(in the paper's channel form, :func:`prediction_channel`, ``push`` and
+(in the paper's channel form, through ``push`` and
 ``dagger``, the new mixture is the data pushed back through the dagger of
 the prediction channel) and the exact M-step: each new coin is the frequency
 of its class's expected faces over the fibers of the observed cells.
@@ -12,7 +12,7 @@ Predicted grids, mixtures and coins are floored (a small ``delta`` added to
 every point, then renormalized) so inversions never divide by zero.  Both
 steps read only the data's support: one pass over each observed cell's
 first-bit terms (:mod:`bitoss.binomials`) gives its probability and its
-expected faces, on plain floats; the channel form stays as the oracle.  The
+expected faces, on plain floats; the channel form is the tests' oracle.  The
 run records the KL divergence from the data to the prediction before each
 step and after the last; up to the floors, it never rises.
 """
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import count
 from operator import mul
 
-# dagger, recover_coin and kl_divergence stay importable: perfbench/layers.py wraps them by name
-from .binomials import Coin, _cell_terms, bivbin, grid_points, off_grid, recover_coin  # noqa: F401
-from .channels import Channel, dagger, push  # noqa: F401
+# not called here: perfbench/layers.py wraps bivbin, recover_coin, dagger, push, kl_divergence
+from .binomials import Coin, _cell_terms, bivbin, off_grid, recover_coin  # noqa: F401
+from .channels import dagger, push  # noqa: F401
 from .kernel import (
     Dist,
     FLOAT,
@@ -125,21 +125,6 @@ def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig(
     return EMState(mixture, tuple(draw(TWO_BY_TWO) for _ in range(n_classes)), tosses)
 
 
-def prediction_channel(state: EMState, config: EMConfig = EMConfig()) -> Channel:
-    """Class label to floored predicted grid distribution."""
-    grid = grid_points(state.tosses, 2)
-    kernel = {}
-    for x, coin in enumerate(state.coins):
-        cells = map(bivbin(state.tosses, Coin(2, coin)).dist, grid)
-        kernel[x] = Dist(zip(grid, _floored(cells, config.floor, len(grid))), mode=FLOAT)
-    return Channel(tuple(range(state.n_classes)), kernel)
-
-
-def predict(state: EMState, config: EMConfig = EMConfig()) -> Dist:
-    """The mixture's predicted grid distribution."""
-    return push(prediction_channel(state, config), state.mixture)
-
-
 def _check_data(data_dist: Dist, tosses: int) -> None:
     if data_dist.mode != FLOAT:
         raise ModeMismatch("EM expects a float-mode data distribution")
@@ -149,9 +134,9 @@ def _check_data(data_dist: Dist, tosses: int) -> None:
 
 
 def _step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, EMState]:
-    """``(divergence, next)``: the KL divergence from the data to
-    :func:`predict`, and the state after one E+M iteration.  Each class takes
-    the data mass it is responsible for at each observed cell ``(n1, n2)``,
+    """``(divergence, next)``: the KL divergence from the data to the
+    mixture's floored predicted grid, and the state after one E+M iteration.
+    Each class takes the data mass it is responsible for at each observed cell ``(n1, n2)``,
     where it expects ``E[#11]`` draws of ``|1,1>`` (the mean over the cell's
     fiber, weighted by its coin's terms), ``n1 - E[#11]`` of ``|1,0>``, ``n2 -
     E[#11]`` of ``|0,1>`` and the rest of ``|0,0>``."""

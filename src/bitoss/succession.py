@@ -16,9 +16,9 @@ general; Dirichlet-multinomial weights give the exact posterior mean,
 independent reference that enumerates the fiber's multisets.
 
 Beta and Dirichlet parameters are restricted to positive integers, which
-keeps every result an exact rational.  The Poisson rules are float valued
-and each comes with :func:`truncated_dagger_mean`, an independent
-brute-force check that inverts the channel over a truncated toss range.
+keeps every result an exact rational.  The Poisson rules are float valued;
+the tests check each against an independent brute-force inversion of its
+channel over a truncated toss range (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Callable
 
 from .binomials import Coin, count_terms, fiber_counts, fiber_mean
 from .kernel import (
@@ -41,10 +40,6 @@ from .kernel import (
     check_count,
     flrn,
 )
-
-POISSON_TAIL_TOL = 1e-9
-_DEGENERATE_FLOOR = 1e-300
-
 
 # ---------------------------------------------------------------------------
 # Beta / binomial
@@ -156,6 +151,7 @@ def bivbin_dirichlet_mean_oracle(
     over rising-factorial tables, ``K!/prod(m!) * prod(psi(x)^(m))``, up to
     the common ``|psi|^(K)``; a query costs O(K) exact integer terms.
     """
+    check_count(tosses, "toss count")
     rising = [
         list(accumulate(range(params.psi(p), params.psi(p) + tosses), mul, initial=1))
         for p in TWO_BY_TWO
@@ -180,32 +176,6 @@ def poisson_pmf(rate: float, k: int) -> float:
     if not 0 <= rate < math.inf:
         raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
     return math.exp(_poisson_log_pmf(rate, check_count(k, "count")))
-
-
-def default_truncation(rate: float) -> int:
-    """A toss-count cutoff leaving Poisson tail mass below the tolerance."""
-    return max(60, math.ceil(rate + 12.0 * math.sqrt(rate) + 12.0))
-
-
-@dataclass(frozen=True)
-class PoissonParams:
-    """Poisson rate (checked by :func:`poisson_pmf`) plus the truncation of
-    the brute-force inversion, which must keep at least ``1 - 1e-9`` of the mass."""
-
-    rate: float
-    truncation: int
-
-    def __post_init__(self):
-        check_count(self.truncation, "truncation")
-        mass = sum(poisson_pmf(self.rate, k) for k in range(self.truncation + 1))
-        if mass < 1.0 - POISSON_TAIL_TOL:
-            raise OutOfRange(
-                f"truncation {self.truncation} keeps only {mass!r} of the prior mass"
-            )
-
-    @classmethod
-    def with_default_truncation(cls, rate: float) -> "PoissonParams":
-        return cls(rate, default_truncation(rate))
 
 
 def binomial_poisson_mean(detect_prob: float, rate: float, detected: int) -> float:
@@ -233,8 +203,6 @@ def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
     if not 0 <= rate < math.inf:
         raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    check_count(n1, "n1")
-    check_count(n2, "n2")
     rate00, *rates = (float(coin.dist(p)) * rate for p in TWO_BY_TWO)
     draws = fiber_counts(n1 + n2, n1, n2)
     logs = [
@@ -248,28 +216,3 @@ def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
         )
     weights = [math.exp(v - top) for v in logs]
     return rate00 + n1 + n2 - fiber_mean(draws, weights)[3]
-
-
-def truncated_dagger_mean(
-    channel_for: Callable[[int], Callable], prior: PoissonParams, observation
-) -> float:
-    """Brute-force posterior mean toss count over the truncated prior.
-
-    ``channel_for(K)`` must return something callable on observation points
-    (a distribution works).  This inverts the channel directly,
-
-        sum_K K * pois(K) * channel_for(K)(obs) / sum_K pois(K) * channel_for(K)(obs),
-
-    and is the independent check for the closed-form Poisson rules.
-    """
-    num = 0.0
-    den = 0.0
-    for k in range(prior.truncation + 1):
-        w = poisson_pmf(prior.rate, k) * float(channel_for(k)(observation))
-        num += k * w
-        den += w
-    if den < _DEGENERATE_FLOOR:
-        raise DegenerateObservation(
-            f"observation {observation!r} has ~zero truncated mass"
-        )
-    return num / den

@@ -14,7 +14,6 @@ from fractions import Fraction
 from bitoss.binomials import (
     Coin,
     binomial,
-    bit_points,
     bivbin,
     bivbin_cell,
     bivbin_direct,
@@ -45,16 +44,15 @@ from bitoss.serialize import dist_to_json, dumps, multiset_to_json
 from bitoss.succession import (
     BetaParams,
     DirichletParams,
-    PoissonParams,
     beta_succession_mean,
     binomial_poisson_mean,
     bivbin_dirichlet_mean,
     bivbin_dirichlet_mean_oracle,
     bivbin_poisson_mean,
-    truncated_dagger_mean,
 )
 
 from conftest import EXAMPLE_COIN, MIXTURE_COINS, MIXTURE_WEIGHTS, random_rational_coin
+from conftest import PoissonParams, bit_points, truncated_dagger_mean
 
 
 @contextmanager
@@ -131,7 +129,7 @@ def test_03_marginal_and_tensor_laws():
             grid = bivbin_direct(tosses, coin).dist
             for i in range(2):
                 assert dist_map(lambda p, i=i: p[i], grid) == binomial(
-                    tosses, coin.heads_probability(i)
+                    tosses, moments(coin.dist).mean[i]
                 )
             c1 = dist_map(lambda p: p[0], coin.dist)
             c2 = dist_map(lambda p: p[1], coin.dist)

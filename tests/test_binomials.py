@@ -13,7 +13,6 @@ from bitoss.binomials import (
     Coin,
     GridDist,
     binomial,
-    bit_points,
     bivbin,
     bivbin_cell,
     bivbin_direct,
@@ -49,7 +48,8 @@ from bitoss.kernel import (
     validity,
 )
 
-from conftest import MIXTURE_COINS, random_rational_coin, random_rational_dist, rational_dists
+from conftest import MIXTURE_COINS, bit_points, random_rational_coin, random_rational_dist
+from conftest import rational_dists
 
 ZERO_FACE_COIN = two_coin(Fraction(7, 31), Fraction(0), Fraction(11, 31), Fraction(13, 31))
 
@@ -287,7 +287,7 @@ class TestGridConstructions:
         # coordinate marginals are binomials of the marginal biases
         for i in range(3):
             marg = dist_map(lambda p, i=i: p[i], grid.dist)
-            assert marg == binomial(2, coin.heads_probability(i))
+            assert marg == binomial(2, moments(coin.dist).mean[i])
 
     def test_dimension_cap(self):
         with pytest.raises(OutOfRange):
@@ -510,7 +510,7 @@ class TestMarginalAndTensorLaws:
             grid = bivbin_direct(tosses, coin).dist
             for i in range(2):
                 assert dist_map(lambda p, i=i: p[i], grid) == binomial(
-                    tosses, coin.heads_probability(i)
+                    tosses, moments(coin.dist).mean[i]
                 )
 
     def test_product_coin_gives_product_grid(self):
@@ -547,7 +547,7 @@ class TestConvolutionClosure:
                     lambda p: (tosses - p[0], tosses - p[1]), acc
                 )
                 for i in range(2):
-                    assert binomial(tosses, coin.heads_probability(i)) == dist_map(
+                    assert binomial(tosses, moments(coin.dist).mean[i]) == dist_map(
                         lambda p, i=i: p[i], acc
                     )
 
@@ -636,9 +636,14 @@ class TestRecover:
             recover_coin(grid, tosses)
         assert not isinstance(caught.value, Infeasible)
         assert recover_coin(grid.dist, grid_tosses).dist == Dist({p: quarter for p in TWO_BY_TWO})
+        # a bare Dist shows a smaller toss count by a point beyond it
+        if grid_tosses > tosses:
+            with pytest.raises(WrongSpace):
+                recover_coin(grid.dist, tosses)
 
     @pytest.mark.parametrize("n_dim", [1, 3])
     def test_grid_of_other_dimension_names_it(self, n_dim):
         grid = bivbin(2, Coin(n_dim, Dist.from_weights({p: 1 for p in bit_points(n_dim)})))
-        with pytest.raises(WrongSpace, match=f"dimension {n_dim}"):
-            recover_coin(grid, 2)
+        for read in (grid, grid.dist):
+            with pytest.raises(WrongSpace, match=f"dimension {n_dim}"):
+                recover_coin(read, 2)

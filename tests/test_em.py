@@ -11,7 +11,6 @@ from bitoss.em import (
     em_init,
     em_run,
     em_step,
-    predict,
 )
 from bitoss.kernel import (
     Dist,
@@ -47,6 +46,21 @@ def floored(dist: Dist, points, delta: float) -> Dist:
     return Dist.from_weights({p: float(dist(p)) + delta for p in points}, mode=FLOAT)
 
 
+def prediction_channel(state: EMState, config: EMConfig = EMConfig()) -> Channel:
+    """Class label to floored predicted grid distribution, over full grids."""
+    grid = grid_points(state.tosses, 2)
+    return Channel(
+        tuple(range(state.n_classes)),
+        {x: floored(bivbin(state.tosses, Coin(2, coin)).dist, grid, config.floor)
+         for x, coin in enumerate(state.coins)},
+    )
+
+
+def predict(state: EMState, config: EMConfig = EMConfig()) -> Dist:
+    """The mixture's predicted grid distribution."""
+    return push(prediction_channel(state, config), state.mixture)
+
+
 def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
     """Reference: one iteration on full floored grids renormalized by their
     sums.  The mixture is the data pushed back through the dagger of the
@@ -54,13 +68,7 @@ def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig())
     floored frequency of the faces of every observed cell's fiber multisets,
     weighted by their ``multinomial`` probability under the class's coin and
     by the class's responsibility for the cell's data mass."""
-    grid = grid_points(state.tosses, 2)
-    chan = Channel(
-        tuple(range(state.n_classes)),
-        {x: floored(bivbin(state.tosses, Coin(2, coin)).dist, grid, config.floor)
-         for x, coin in enumerate(state.coins)},
-    )
-    inversion = dagger(chan, state.mixture)
+    inversion = dagger(prediction_channel(state, config), state.mixture)
     mixture = floored(push(inversion, data_dist), range(state.n_classes), config.floor)
     coins = []
     for x, coin in enumerate(state.coins):

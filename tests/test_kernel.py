@@ -41,8 +41,8 @@ from bitoss.binomials import (
     Coin,
     GridDist,
     binomial,
-    bit_points,
     bivbin,
+    fiber,
     flip,
     mvbin_functorial,
     recover_coin,
@@ -51,14 +51,17 @@ from bitoss.binomials import (
 from bitoss.em import em_init, em_run
 from bitoss.succession import (
     BetaParams,
-    PoissonParams,
+    DirichletParams,
     binomial_poisson_mean,
+    bivbin_dirichlet_mean,
+    bivbin_dirichlet_mean_oracle,
     bivbin_poisson_mean,
     poisson_pmf,
 )
 
 from conftest import (
     EXAMPLE_COIN,
+    bit_points,
     multisets,
     random_rational_coin,
     random_rational_dist,
@@ -668,6 +671,7 @@ class TestSample:
 # ---------------------------------------------------------------------------
 
 HALF = Fraction(1, 2)
+PSI = DirichletParams(Multiset({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3}))
 
 # each call takes the count as its one argument; the second value is the least count
 COUNT_ARGUMENTS = [
@@ -685,13 +689,19 @@ COUNT_ARGUMENTS = [
     pytest.param(lambda v: em_run(Multiset({(0, 0): 1}), 1, 2, v, 0), 1, id="em_run.iterations"),
     pytest.param(lambda v: BetaParams(v, 1), 1, id="BetaParams.alpha"),
     pytest.param(lambda v: BetaParams(1, v), 1, id="BetaParams.beta"),
-    pytest.param(lambda v: PoissonParams(0.0, v), 0, id="PoissonParams.truncation"),
     pytest.param(lambda v: binomial_poisson_mean(0.5, 1.0, v), 0, id="binomial_poisson_mean"),
     pytest.param(lambda v: bivbin_poisson_mean(EXAMPLE_COIN, 1.0, v, 0), 0,
                  id="bivbin_poisson_mean.n1"),
     pytest.param(lambda v: bivbin_poisson_mean(EXAMPLE_COIN, 1.0, 0, v), 0,
                  id="bivbin_poisson_mean.n2"),
     pytest.param(lambda v: poisson_pmf(1.0, v), 0, id="poisson_pmf"),
+    pytest.param(lambda v: fiber(v, 0, 0), 0, id="fiber.tosses"),
+    pytest.param(lambda v: bivbin_dirichlet_mean(PSI, v, 0, 0), 0, id="bivbin_dirichlet_mean.tosses"),
+    pytest.param(lambda v: bivbin_dirichlet_mean(PSI, 3, v, 1), 0, id="bivbin_dirichlet_mean.n1"),
+    pytest.param(lambda v: bivbin_dirichlet_mean_oracle(PSI, v, 0, 0), 0,
+                 id="bivbin_dirichlet_mean_oracle.tosses"),
+    pytest.param(lambda v: bivbin_dirichlet_mean_oracle(PSI, 3, 1, v), 0,
+                 id="bivbin_dirichlet_mean_oracle.n2"),
 ]
 
 

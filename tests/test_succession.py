@@ -18,20 +18,18 @@ from bitoss.kernel import (
 from bitoss.succession import (
     BetaParams,
     DirichletParams,
-    PoissonParams,
     beta_succession_mean,
     beta_update,
     binomial_poisson_mean,
     bivbin_dirichlet_mean,
     bivbin_dirichlet_mean_oracle,
     bivbin_poisson_mean,
-    default_truncation,
     dirichlet_succession_mean,
     dirichlet_update,
     poisson_pmf,
-    truncated_dagger_mean,
 )
 
+from conftest import PoissonParams, default_truncation, truncated_dagger_mean
 
 UNIFORM_PSI = Multiset({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
 
