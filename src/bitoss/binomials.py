@@ -8,14 +8,15 @@ grid: the multivariate binomial.  It is computed here two ways,
 
 * functorially, by pushing the multinomial of the coin forward along the
   marginal heads function, for any dimension; and
-* directly, for N = 2, by summing the closed-form fiber of each grid cell,
-  which avoids enumerating all draws.
+* directly, for N = 2, from the tosses split on the first bit, which
+  avoids enumerating all draws.
 
-The direct path splits each fiber term on the first bit (a two-coin is a
-first-bit flip followed by a channel to the second bit) into two
-conditional binomial rows, built once per grid: integer terms from
-:func:`count_terms` in rational mode, log-space pmfs in float mode, so float
-grids stay finite at any K.  :func:`binomial` reads the same rows;
+A two-coin is a first-bit flip followed by a channel to the second bit.  In
+rational mode, grid row ``n1`` is ``C(K, n1)`` times the coefficients of
+``(p10 + p11*y)^n1 * (p00 + p01*y)^(K-n1)``, integers over ``D^K`` from one
+three-term recurrence (:func:`_expand`), which also builds exact binomials.
+In float mode each cell sums products of two conditional binomial rows,
+log-space pmfs built once per grid, so float grids stay finite at any K.
 :func:`face_terms` serves :func:`multinomial`, the functorial oracle.
 
 Both paths agree exactly in rational mode.  ``recover_coin`` inverts the
@@ -47,7 +48,6 @@ from .kernel import (
     dist_map,
     enumerate_msets,
     moments,
-    over,
     point_coords,
     zero,
 )
@@ -161,21 +161,41 @@ def count_terms(tables, tosses: int):
     return term
 
 
-def _powers(weights, tosses: int, mode: str):
-    """``(tables, den)`` for ``tosses`` draws over the given face weights:
-    per-face tables indexed by ``m`` from 0 to ``tosses``, and the
-    denominator of a sum of terms.  Rational tables hold ``(D * w) ** m``,
-    with ``D`` the weights' common denominator, and ``den = D ** tosses``;
-    float tables hold ``log(w**m / m!)``, with ``0**0 = 1``, and no ``den``."""
+def _numerators(weights, tosses: int):
+    """``(nums, D**tosses)``: rational weights over their common denominator ``D``."""
     check_count(tosses, "toss count")
-    if mode == FLOAT:
-        span = range(tosses + 1)
-        lw = [math.log(w) if w > 0 else -math.inf for w in weights]
-        return [[m * x - math.lgamma(m + 1) if m else 0.0 for m in span] for x in lw], None
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (den // w.denominator) for w in weights]
-    powers = [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums]
-    return powers, den**tosses
+    base = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (base // w.denominator) for w in weights], base**tosses
+
+
+def _powers(weights, tosses: int):
+    """Per-face float tables for ``tosses`` draws over the given weights:
+    ``log(w**m / m!)`` for ``m`` from 0 to ``tosses``, with ``0**0 = 1``."""
+    check_count(tosses, "toss count")
+    lw = [math.log(w) if w > 0 else -math.inf for w in weights]
+    return [[m * x - math.lgamma(m + 1) if m else 0.0 for m in range(tosses + 1)] for x in lw]
+
+
+def _expand(alpha: int, beta: int, a: int, gamma: int, delta: int, b: int, scale: int = 1) -> list:
+    """The exact row engine: ``scale`` times the coefficients ``c[j]`` of ``P
+    = O**a * Z**b``, ``O = alpha + beta*y`` and ``Z = gamma + delta*y`` over
+    integers ``>= 0``.  From ``O*Z*P' = P*(a*beta*Z + b*delta*O)``, ``c[-1] =
+    0`` and ``c[0] = alpha**a * gamma**b``, ``(j+1)*alpha*gamma*c[j+1] =
+    (a*beta*gamma + b*alpha*delta - (alpha*delta + beta*gamma)*j)*c[j] +
+    beta*delta*(a+b-j+1)*c[j-1]``, so ``//`` is exact.  A factor with a zero
+    coefficient is a monomial folded into the scale and a shift."""
+    shift, factors = 0, []
+    for c0, c1, e in ((alpha, beta, a), (gamma, delta, b)):
+        if not (c0 and c1):  # c0**e, or c1**e * y**e, leaves the factor 1 + 0*y
+            scale, shift, c0, c1, e = scale * (c0 or c1) ** e, shift + (0 if c0 else e), 1, 0, 0
+        factors.append((c0, c1, e))
+    (o0, o1, p), (z0, z1, q) = factors
+    n, lead, slope = p + q, p * o1 * z0 + q * o0 * z1, o0 * z1 + o1 * z0
+    cross, div = o1 * z1, o0 * z0  # div is never 0
+    c = [0, scale * o0**p * z0**q]  # c[-1] and c[0] of the recurrence
+    for j in range(n):
+        c.append(((lead - slope * j) * c[-1] + cross * (n + 1 - j) * c[-2]) // (div * (j + 1)))
+    return [0] * shift + c[1:] + [0] * (a + b - shift - n)
 
 
 def face_terms(weights, tosses: int, mode: str):
@@ -185,21 +205,24 @@ def face_terms(weights, tosses: int, mode: str):
     an exact integer over ``den`` in rational mode; in float mode the
     probability itself, one ``exp`` in log space so that nothing overflows
     at any K, and ``den`` is ``None``.  Only :func:`multinomial`, the
-    functorial oracle, uses it, in either mode; binomials and two-coin cells
-    read first-bit rows."""
-    tables, den = _powers([coerce_scalar(w, mode) for w in weights], tosses, mode)
+    functorial oracle, uses it, in either mode; binomials and two-coin grids
+    read rows of :func:`_expand` or first-bit float rows."""
+    weights = [coerce_scalar(w, mode) for w in weights]
     if mode == RATIONAL:
-        return count_terms(tables, tosses), den
-    lead = math.lgamma(tosses + 1)
-    return (lambda counts: math.exp(lead + sum(map(getitem, tables, counts)))), den
+        nums, den = _numerators(weights, tosses)
+        powers = [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums]
+        return count_terms(powers, tosses), den
+    tables, lead = _powers(weights, tosses), math.lgamma(tosses + 1)
+    return (lambda counts: math.exp(lead + sum(map(getitem, tables, counts)))), None
 
 
 def binomial(tosses: int, r) -> Dist:
     """Number of 1s in ``tosses`` flips of a coin with bias ``r``."""
     r = _check_probability(r)
-    mode = FLOAT if isinstance(r, float) else RATIONAL
-    (off, on), den = _powers([1 - r, r], tosses, mode)
-    return Dist(enumerate(_binomial_rows(off, on, mode)(tosses)), mode, den)
+    if isinstance(r, float):
+        return Dist(enumerate(_binomial_rows(*_powers([1 - r, r], tosses))(tosses)), FLOAT)
+    (off, on), den = _numerators([1 - r, r], tosses)
+    return Dist(enumerate(_expand(off, on, tosses, 1, 0, 0)), den=den)
 
 
 def multinomial(draws: int, omega: Dist) -> Dist:
@@ -288,51 +311,40 @@ def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
     return GridDist(tosses, coin.n_dim, grid)
 
 
-def _binomial_rows(off, on, mode: str):
-    """Binomial rows over two of :func:`_powers`'s tables, each built on first
-    use: ``row(m)[j]`` is ``C(m, j) * off[m - j] * on[j]`` for ``j`` from 0
-    to ``m``, an exact integer, or in float mode one ``exp`` of the log
-    tables' sum, which is the pmf entry when ``off + on = 1``."""
+def _binomial_rows(off, on):
+    """Float binomial rows over two :func:`_powers` tables, each built on first
+    use: ``row(m)[j]`` is ``exp(log m! + off[m - j] + on[j])``, a pmf entry."""
 
     @cache
     def row(m: int) -> list:
-        if mode == FLOAT:
-            lead = math.lgamma(m + 1)
-            return [math.exp(lead + off[m - j] + on[j]) for j in range(m + 1)]
-        term = count_terms((off, on), m)
-        return [term((m - j, j)) for j in range(m + 1)]
+        lead = math.lgamma(m + 1)
+        return [math.exp(lead + off[m - j] + on[j]) for j in range(m + 1)]
 
     return row
 
 
-def _cell_terms(tosses: int, coin: Coin):
-    """``(terms, den)`` for the grid cells of a two-coin, the fiber sum
-    split on the first bit: the draw ``(a, b, c, d)`` = ``(#00, #01, #10,
-    #11)`` has term ``lead[n1] * ones(n1)[d] * zeros(K-n1)[a]``, over
-    second-bit rows for the tosses whose first bit is 1 and for the others.
-    ``terms(n1, n2)`` is ``(lead[n1], low, products)``, with the row products
-    for ``d`` from ``low`` up (``a - d = K - n1 - n2``, so the slices align),
-    and the cell is ``lead[n1] * sum(products)`` over ``den``.  Rational rows
-    hold integer terms over ``den = D**K`` and ``lead[n1] = C(K, n1)``; float
-    rows are ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``, and ``lead`` is
-    ``Bin(K, p1)``, with no ``den``."""
+def _face_weights(coin: Coin) -> list:
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    weights = [coin.dist(p) for p in TWO_BY_TWO]
-    if coin.dist.mode == FLOAT:
-        p00, p01, p10, p11 = weights
+    return [coin.dist(p) for p in TWO_BY_TWO]
 
-        def rows(off: float, on: float):
-            # a first bit that never comes up has lead 0 wherever these rows are read
-            pair = [off / (off + on), on / (off + on)] if off + on else [1.0, 0.0]
-            return _binomial_rows(*_powers(pair, tosses, FLOAT)[0], FLOAT)
 
-        lead = rows(p00 + p01, p10 + p11)(tosses)
-        ones, zeros, den = rows(p10, p11), rows(p01, p00), None
-    else:
-        (p00, p01, p10, p11), den = _powers(weights, tosses, RATIONAL)
-        lead = [math.comb(tosses, n1) for n1 in range(tosses + 1)]
-        ones, zeros = _binomial_rows(p10, p11, RATIONAL), _binomial_rows(p01, p00, RATIONAL)
+def _cell_terms(tosses: int, coin: Coin):
+    """A float two-coin's cells as fiber sums split on the first bit: the draw
+    ``(a, b, c, d)`` = ``(#00, #01, #10, #11)`` has term ``lead[n1] *
+    ones(n1)[d] * zeros(K-n1)[a]``, with ``lead`` = ``Bin(K, p1)`` and the
+    rows ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``.  ``terms(n1, n2)`` is
+    ``(lead[n1], low, products)``, with the row products for ``d`` from
+    ``low`` up, and the cell is ``lead[n1] * sum(products)``."""
+    p00, p01, p10, p11 = _face_weights(coin)
+
+    def rows(off: float, on: float):
+        # a first bit that never comes up has lead 0 wherever these rows are read
+        pair = [off / (off + on), on / (off + on)] if off + on else [1.0, 0.0]
+        return _binomial_rows(*_powers(pair, tosses))
+
+    lead = rows(p00 + p01, p10 + p11)(tosses)
+    ones, zeros = rows(p10, p11), rows(p01, p00)
 
     def terms(n1: int, n2: int) -> tuple:
         shift = tosses - n1 - n2  # a - d
@@ -341,34 +353,42 @@ def _cell_terms(tosses: int, coin: Coin):
         bottom = zeros(tosses - n1)[low + shift : high + shift + 1]
         return lead[n1], low, list(map(mul, top, bottom))
 
-    return terms, den
+    return terms
+
+
+def _exact_rows(tosses: int, coin: Coin):
+    """``(row, den)``: ``row(n1)`` holds the numerators over ``den = D**K`` of
+    the cells ``(n1, 0..K)`` of a rational two-coin's grid, ``C(K, n1)``
+    times the coefficients of ``(p10 + p11*y)**n1 * (p00 + p01*y)**(K-n1)``."""
+    (p00, p01, p10, p11), den = _numerators(_face_weights(coin), tosses)
+    return (lambda n1: _expand(p10, p11, n1, p00, p01, tosses - n1, math.comb(tosses, n1))), den
 
 
 def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
-    """Single grid-cell probability of the bivariate binomial, via the fiber.
-
-    Points outside the ``{0,...,K}^2`` grid have probability zero, matching
-    distribution-call semantics.
-    """
-    terms, den = _cell_terms(tosses, coin)
+    """Single grid-cell probability of the bivariate binomial: one exact row
+    in rational mode, the cell's fiber terms in float mode.  Points outside
+    the ``{0,...,K}^2`` grid have probability zero, as a distribution call."""
+    exact = coin.dist.mode == RATIONAL
+    cells, den = _exact_rows(tosses, coin) if exact else (_cell_terms(tosses, coin), None)
     if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
         return zero(coin.dist.mode)
-    lead, _, products = terms(n1, n2)
-    return over(lead * sum(products), den)
+    if exact:
+        return Fraction(cells(n1)[n2], den)
+    lead, _, products = cells(n1, n2)
+    return lead * sum(products)
 
 
 def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
-    """Bivariate binomial built cell by cell from the fiber closed form.
-
-    Agrees exactly with :func:`mvbin_functorial` in rational mode but never
-    materializes the full multinomial: each cell sums the fiber's terms
-    split on the first bit, as products of two conditional binomial rows.
-    Rational cells go to the distribution as integer numerators over ``D**K``.
-    """
-    terms, den = _cell_terms(tosses, coin)
-    grid = grid_points(tosses, 2)
-    cells = [lead * sum(p) for lead, _, p in starmap(terms, grid)]
-    return GridDist(tosses, 2, Dist(zip(grid, cells), coin.dist.mode, den))
+    """Bivariate binomial on the first-bit split: exact rows of integer
+    numerators over ``D**K`` in rational mode, equal to :func:`mvbin_functorial`
+    without its multinomial, and float cells from :func:`_cell_terms`."""
+    if coin.dist.mode == RATIONAL:
+        row, den = _exact_rows(tosses, coin)
+        cells = [c for n1 in range(tosses + 1) for c in row(n1)]
+    else:
+        terms, den = _cell_terms(tosses, coin), None
+        cells = [lead * sum(p) for lead, _, p in starmap(terms, grid_points(tosses, 2))]
+    return GridDist(tosses, 2, Dist(zip(grid_points(tosses, 2), cells), coin.dist.mode, den))
 
 
 def bivbin_tails(tosses: int, coin: Coin) -> GridDist:

@@ -143,7 +143,7 @@ def _step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, EMS
     freqs = [d for _, d in data_dist.items()]
     joint, faces = [], []
     for (_, w), coin in zip(state.mixture.items(), state.coins):
-        terms = _cell_terms(state.tosses, Coin(2, coin))[0]
+        terms = _cell_terms(state.tosses, Coin(2, coin))
         cells, expected = [], []
         for n1, n2 in data_dist.support():
             lead, low, products = terms(n1, n2)

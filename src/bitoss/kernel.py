@@ -455,12 +455,11 @@ def pair_points(x, y):
 
 def _product(omega: Dist, rho: Dist, combine: Callable) -> Dist:
     """Distribution of ``combine(x, y)`` for independent draws ``x`` from
-    ``omega`` and ``y`` from ``rho``."""
+    ``omega`` and ``y`` from ``rho``, from products of the stored weights."""
     mode = require_modes_equal(omega, rho)
-    return Dist(
-        [(combine(x, y), vx * vy) for x, vx in omega.items() for y, vy in rho.items()],
-        mode=mode,
-    )
+    right = tuple(zip(rho._points, rho._nums))
+    pairs = [(combine(x, y), wx * wy) for x, wx in zip(omega._points, omega._nums) for y, wy in right]
+    return Dist(pairs, mode, None if mode == FLOAT else omega._den * rho._den)
 
 
 def tensor(omega: Dist, rho: Dist) -> Dist:

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 from bitoss.binomials import (
     Coin,
     GridDist,
+    _expand,
     binomial,
     bivbin,
     bivbin_cell,
@@ -472,6 +473,72 @@ class TestSplitKernel:
             bivbin_cell(-1, coin, 0, 0)
         with pytest.raises(OutOfRange):
             bivbin_direct(-1, coin)
+
+
+def comb_binomial(tosses: int, r: Fraction) -> Dist:
+    """Reference exact binomial, one ``math.comb`` term per count."""
+    return Dist(
+        [(j, math.comb(tosses, j) * r**j * (1 - r) ** (tosses - j)) for j in range(tosses + 1)],
+        mode=RATIONAL,
+    )
+
+
+def naive_expand(alpha, beta, a, gamma, delta, b) -> list:
+    """Coefficients of ``(alpha + beta*y)**a * (gamma + delta*y)**b`` by
+    multiplying the two binomial expansions term by term."""
+    left = [math.comb(a, j) * alpha ** (a - j) * beta**j for j in range(a + 1)]
+    right = [math.comb(b, j) * gamma ** (b - j) * delta**j for j in range(b + 1)]
+    out = [0] * (a + b + 1)
+    for i, x in enumerate(left):
+        for j, y in enumerate(right):
+            out[i + j] += x * y
+    return out
+
+
+# Each of the 15 non-empty face supports of a two-coin, under three weightings.
+FACE_SUPPORT_COINS = [
+    _coin_from_weights(*(w if mask >> i & 1 else 0 for i, w in enumerate(weights)))
+    for mask in range(1, 16)
+    for weights in ((1, 1, 1, 1), (3, 5, 2, 7), (11, 1, 4, 9))
+]
+
+
+class TestExactRowEngine:
+    """Rational grids, binomials and cells read integer rows from one
+    three-term recurrence; each is checked against an independent sum.
+    ``Dist`` equality compares the stored points, numerators and denominator."""
+
+    @given(
+        st.integers(0, 6), st.integers(0, 6), st.integers(0, 9),
+        st.integers(0, 6), st.integers(0, 6), st.integers(0, 9), st.integers(0, 5),
+    )
+    def test_engine_equals_the_expanded_product(self, alpha, beta, a, gamma, delta, b, scale):
+        expected = [scale * c for c in naive_expand(alpha, beta, a, gamma, delta, b)]
+        assert _expand(alpha, beta, a, gamma, delta, b, scale) == expected
+
+    @pytest.mark.parametrize("coin", FACE_SUPPORT_COINS)
+    def test_every_face_support_equals_functorial(self, coin):
+        for tosses in range(9):
+            assert bivbin_direct(tosses, coin).dist == mvbin_functorial(tosses, coin).dist
+
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(7, 10)])
+    def test_rational_binomial_equals_comb_terms(self, r):
+        for tosses in range(41):
+            assert binomial(tosses, r) == comb_binomial(tosses, r)
+
+    @pytest.mark.parametrize("coin", SPLIT_COINS)
+    def test_cell_equals_grid_cell(self, coin):
+        for tosses in range(13):
+            grid = bivbin_direct(tosses, coin).dist
+            for n1 in range(-1, tosses + 2):
+                for n2 in range(-1, tosses + 2):
+                    assert bivbin_cell(tosses, coin, n1, n2) == grid((n1, n2))
+
+    def test_marginals_at_two_hundred_tosses_are_exact_binomials(self, example_coin):
+        grid = bivbin_direct(200, example_coin).dist
+        for i in range(2):
+            marginal = dist_map(lambda p, i=i: p[i], grid)
+            assert marginal == comb_binomial(200, moments(example_coin.dist).mean[i])
 
 
 class TestCombinatorialIdentities:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -44,6 +45,20 @@ class TestBivbin:
         assert len(cell) == 9
         rows = csv.read_text().strip().split("\n")
         assert len(rows) == 3
+
+    def test_readme_coin_bytes_at_thirty_tosses(self, tmp_path, coin_file, capsys):
+        # sha256 of the grid JSON, its CSV and the recover output: the bytes
+        # stay fixed however the grid is computed
+        out, csv = tmp_path / "grid.json", tmp_path / "grid.csv"
+        assert run("bivbin", "--coin", coin_file, "--K", 30, "--out", out, "--csv", csv) == 0
+        capsys.readouterr()
+        assert run("recover", "--grid", out, "--K", 30) == 0
+        artifacts = (out.read_bytes(), csv.read_bytes(), capsys.readouterr().out.encode())
+        assert [hashlib.sha256(a).hexdigest() for a in artifacts] == [
+            "596970c3cb390ad6b9af3bbdfe9c529291d592467aa3f89756f0db98c5fb773f",
+            "62f6b9e7ebba4f063130ff2e255f8e09de827b4fc00f9c7a55f9bd2a85842017",
+            "360c76411818af00b5f9ec8c8eb797e6f96bdd5d57593e0a689ef8528c50e843",
+        ]
 
     def test_zero_tosses(self, tmp_path, coin_file):
         out = tmp_path / "grid.json"
