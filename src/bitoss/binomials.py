@@ -7,7 +7,7 @@ how many tosses came up 1 yields a distribution on the ``{0,...,K}^N`` count
 grid: the multivariate binomial.  It is computed here two ways,
 
 * functorially, by pushing the multinomial of the coin forward along the
-  marginal heads function, for any dimension; and
+  marginal heads function, one face at a time, for any dimension; and
 * directly, for N = 2, from the tosses split on the first bit, which
   avoids enumerating all draws.
 
@@ -17,7 +17,8 @@ rational mode, grid row ``n1`` is ``C(K, n1)`` times the coefficients of
 three-term recurrence (:func:`_expand`), which also builds exact binomials.
 In float mode each cell sums products of two conditional binomial rows,
 log-space pmfs built once per grid, so float grids stay finite at any K.
-:func:`face_terms` serves :func:`multinomial`, the functorial oracle.
+:func:`face_terms` gives :func:`multinomial` one term per draw, and
+:func:`mvbin_functorial` builds the same terms without building the draws.
 
 Both paths agree exactly in rational mode.  ``recover_coin`` inverts the
 construction from the grid's mean and covariance alone, using that the grid
@@ -44,6 +45,7 @@ from .kernel import (
     TWO_BY_TWO,
     WrongSpace,
     check_count,
+    check_mset_cap,
     coerce_scalar,
     dist_map,
     enumerate_msets,
@@ -198,21 +200,29 @@ def _expand(alpha: int, beta: int, a: int, gamma: int, delta: int, b: int, scale
     return [0] * shift + c[1:] + [0] * (a + b - shift - n)
 
 
+def _face_tables(weights, tosses: int, mode: str):
+    """``(tables, den)``, per face ``n**m`` over ``den = D**tosses`` in rational
+    mode and the :func:`_powers` table in float mode, ``m`` from 0 to ``tosses``."""
+    weights = [coerce_scalar(w, mode) for w in weights]
+    if mode == RATIONAL:
+        nums, den = _numerators(weights, tosses)
+        return [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums], den
+    return _powers(weights, tosses), None
+
+
 def face_terms(weights, tosses: int, mode: str):
     """The multinomial term engine: ``(term, den)`` for size-``tosses``
     draws from an urn with the given face weights.  ``term(counts)`` is
     ``tosses! / prod(m!) * prod(w^m)`` over the draw's face counts ``m``:
     an exact integer over ``den`` in rational mode; in float mode the
     probability itself, one ``exp`` in log space so that nothing overflows
-    at any K, and ``den`` is ``None``.  Only :func:`multinomial`, the
-    functorial oracle, uses it, in either mode; binomials and two-coin grids
-    read rows of :func:`_expand` or first-bit float rows."""
-    weights = [coerce_scalar(w, mode) for w in weights]
-    if mode == RATIONAL:
-        nums, den = _numerators(weights, tosses)
-        powers = [list(accumulate(repeat(n, tosses), mul, initial=1)) for n in nums]
-        return count_terms(powers, tosses), den
-    tables, lead = _powers(weights, tosses), math.lgamma(tosses + 1)
+    at any K, and ``den`` is ``None``.  :func:`multinomial` takes one term
+    per draw; :func:`mvbin_functorial` builds the same terms from the same
+    tables one face at a time, without the draws."""
+    tables, den = _face_tables(weights, tosses, mode)
+    if den is not None:
+        return count_terms(tables, tosses), den
+    lead = math.lgamma(tosses + 1)
     return (lambda counts: math.exp(lead + sum(map(getitem, tables, counts)))), None
 
 
@@ -226,8 +236,8 @@ def binomial(tosses: int, r) -> Dist:
 
 
 def multinomial(draws: int, omega: Dist) -> Dist:
-    """Distribution of size-``draws`` multiset draws, with replacement,
-    from the urn ``omega``."""
+    """Distribution of size-``draws`` multiset draws, with replacement, from
+    the urn ``omega``, each draw a built :class:`Multiset` point."""
     faces = omega.support()
     term, den = face_terms([v for _, v in omega.items()], draws, omega.mode)
     msets = enumerate_msets(faces, draws)
@@ -254,16 +264,7 @@ def heads(phi: Multiset, n_dim: int | None = None):
         # the empty multiset has no point to read it from, and 0 fails the face test
         n_dim = len(point_coords(support[0])) if support else 0
     _check_faces(support, n_dim)
-    return _heads(phi, n_dim)
-
-
-def _heads(phi: Multiset, n_dim: int):
-    """:func:`heads` without the face check, for faces already checked."""
-    counts = [0] * n_dim
-    for p, m in phi.items():
-        for i, bit in enumerate(p if n_dim > 1 else (p,)):
-            if bit:
-                counts[i] += m
+    counts = [sum(m for p, m in phi.items() if point_coords(p)[i]) for i in range(n_dim)]
     return counts[0] if n_dim == 1 else tuple(counts)
 
 
@@ -304,11 +305,31 @@ def fiber(tosses: int, n1: int, n2: int) -> list[Multiset]:
 
 
 def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
-    """Multivariate binomial as a pushforward: enumerate all draws of the
-    coin and map each through the marginal heads function."""
-    # the draws come from enumerate_msets over faces that Coin has checked
-    grid = dist_map(lambda phi: _heads(phi, coin.n_dim), multinomial(tosses, coin.dist))
-    return GridDist(tosses, coin.n_dim, grid)
+    """Multivariate binomial as a pushforward, ``dist_map(heads,
+    multinomial(K, coin.dist))``, walked one face at a time without building
+    a draw.  Each face takes ``m = 1..r`` of the ``r`` tosses left, then 0,
+    the sorted draw order, so each cell adds its terms in the same order.  A
+    partial draw carries ``r``, its term and its grid index: the product of
+    ``C(r, m) * n**m`` over ``D**K``, or the float table entries to sum."""
+    faces, weights = zip(*coin.dist.items())
+    tables, den = _face_tables(weights, tosses, coin.dist.mode)
+    check_mset_cap(len(faces), tosses)
+    comb, size, lead = math.comb, tosses + 1, math.lgamma(tosses + 1)
+    # a face moves the grid index by its bits read as a number in base K + 1
+    steps = [sum(c * size**i for i, c in enumerate(reversed(point_coords(f)))) for f in faces]
+    draws = [(tosses, () if den is None else 1, 0)]
+    for i, (table, step) in enumerate(zip(tables, steps)):
+        left = {r for r, _, _ in draws}  # the last face takes the tosses left
+        counts = {r: (r,) if i == len(faces) - 1 else (*range(1, r + 1), 0) for r in left}
+        if den is None:
+            draws = [(r - m, t + (table[m],), h + m * step) for r, t, h in draws for m in counts[r]]
+        else:
+            draws = [(r - m, t * comb(r, m) * table[m], h + m * step)
+                     for r, t, h in draws for m in counts[r]]
+    if den is None:  # one sum per draw, as sum rounds floats its own way from Python 3.12
+        draws = [(0, math.exp(lead + sum(t)), h) for _, t, h in draws]
+    points = grid_points(tosses, coin.n_dim)
+    return GridDist(tosses, coin.n_dim, Dist([(points[h], t) for _, t, h in draws], coin.dist.mode, den))
 
 
 def _binomial_rows(off, on):

@@ -368,20 +368,22 @@ def flrn(phi: Multiset) -> Dist:
     return Dist(phi.items(), den=total)
 
 
-def mset_cap() -> int:
-    """Current enumeration cap (``BITOSS_MSET_CAP`` overrides the default)."""
-    raw = os.environ.get(MSET_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MSET_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise OutOfRange(f"{MSET_CAP_ENV} must be an integer, got {raw!r}") from exc
-
-
 def count_msets(n_points: int, size: int) -> int:
     """Number of size-``size`` multisets over ``n_points`` points."""
     return math.comb(size + n_points - 1, n_points - 1)
+
+
+def check_mset_cap(n_points: int, size: int) -> None:
+    """Raise :class:`ResourceLimit` when the size-``size`` multisets over
+    ``n_points`` points outnumber the cap, ``BITOSS_MSET_CAP`` if it is set
+    and ``DEFAULT_MSET_CAP`` otherwise."""
+    raw = os.environ.get(MSET_CAP_ENV, DEFAULT_MSET_CAP)
+    try:
+        limit = int(raw)
+    except ValueError as exc:
+        raise OutOfRange(f"{MSET_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if (n := count_msets(n_points, size)) > limit:
+        raise ResourceLimit(f"{n} multisets of size {size} exceed the cap {limit}")
 
 
 def enumerate_msets(base: Iterable, size: int) -> list[Multiset]:
@@ -389,17 +391,14 @@ def enumerate_msets(base: Iterable, size: int) -> list[Multiset]:
 
     The order is lexicographic on the nondecreasing element sequence of each
     multiset (``[2|0>, 1|0>+1|1>, 2|1>]`` for two points, size two).  Raises
-    :class:`ResourceLimit` when the stars-and-bars count exceeds
-    :func:`mset_cap`.
+    :class:`ResourceLimit` when the stars-and-bars count exceeds the cap
+    (:func:`check_mset_cap`).
     """
     points = sorted(set(base))
     if not points:
         raise EmptyMultiset("base must be non-empty")
     check_count(size, "size")
-    limit = mset_cap()
-    n = count_msets(len(points), size)
-    if n > limit:
-        raise ResourceLimit(f"{n} multisets of size {size} exceed the cap {limit}")
+    check_mset_cap(len(points), size)
     out: list[Multiset] = []
     last = len(points) - 1
 

@@ -37,9 +37,11 @@ from bitoss.kernel import (
     Multiset,
     OutOfRange,
     RATIONAL,
+    ResourceLimit,
     TWO_BY_TWO,
     WrongSpace,
     convolve,
+    count_msets,
     dist_map,
     enumerate_msets,
     mset_coefficient,
@@ -714,3 +716,49 @@ class TestRecover:
         for read in (grid, grid.dist):
             with pytest.raises(WrongSpace, match=f"dimension {n_dim}"):
                 recover_coin(read, 2)
+
+
+def face_support_coins(n_dim: int, weightings: int) -> list:
+    """One coin per non-empty face support of ``{0,1}^N``, per weighting and
+    mode, with unequal weights so that float cells add unequal terms."""
+    faces, coins = bit_points(n_dim), []
+    for mask in range(1, 2 ** len(faces)):
+        support = [f for i, f in enumerate(faces) if mask >> i & 1]
+        for step in range(1, 2 * weightings, 2):
+            weights = [1 + step * i for i in range(len(support))]
+            exact = Dist.from_weights(dict(zip(support, weights)))
+            coins += [Coin(n_dim, exact), Coin(n_dim, to_float(exact))]
+    return coins
+
+
+def pushforward_grid(tosses: int, coin: Coin) -> Dist:
+    """The functorial definition itself: every draw built and read back."""
+    return dist_map(lambda phi: heads(phi, coin.n_dim), multinomial(tosses, coin.dist))
+
+
+class TestFaceWalk:
+    """``mvbin_functorial`` walks the draws face by face; the pushforward of
+    the built draws is its oracle.  ``Dist`` equality compares the stored
+    points, numerators and denominator, so float cells must be the same
+    doubles, added in the same order."""
+
+    @pytest.mark.parametrize("n_dim, weightings, max_tosses", [(1, 3, 12), (2, 3, 12), (3, 1, 7)])
+    def test_every_face_support_equals_the_pushforward(self, n_dim, weightings, max_tosses):
+        for coin in face_support_coins(n_dim, weightings):
+            for tosses in range(max_tosses + 1):
+                got = mvbin_functorial(tosses, coin)
+                assert (got.tosses, got.n_dim) == (tosses, n_dim)
+                assert got.dist == pushforward_grid(tosses, coin), (coin.dist, tosses)
+
+    @pytest.mark.parametrize("r", [Fraction(3, 7), 0.3])
+    def test_long_flip_equals_the_pushforward(self, r):
+        assert mvbin_functorial(2000, flip(r)).dist == pushforward_grid(2000, flip(r))
+
+    def test_cap_counts_the_draws(self, monkeypatch):
+        coin = Coin(3, Dist.from_weights({p: 1 for p in bit_points(3)}))
+        count = count_msets(8, 3)
+        monkeypatch.setenv("BITOSS_MSET_CAP", str(count - 1))
+        with pytest.raises(ResourceLimit, match=f"{count} multisets of size 3 exceed the cap"):
+            mvbin_functorial(3, coin)
+        monkeypatch.setenv("BITOSS_MSET_CAP", str(count))
+        assert mvbin_functorial(3, coin).dist == pushforward_grid(3, coin)
