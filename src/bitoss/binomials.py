@@ -314,7 +314,7 @@ def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
     faces, weights = zip(*coin.dist.items())
     tables, den = _face_tables(weights, tosses, coin.dist.mode)
     check_mset_cap(len(faces), tosses)
-    comb, size, lead = math.comb, tosses + 1, math.lgamma(tosses + 1)
+    comb, size, lead, n_dim = math.comb, tosses + 1, math.lgamma(tosses + 1), coin.n_dim
     # a face moves the grid index by its bits read as a number in base K + 1
     steps = [sum(c * size**i for i, c in enumerate(reversed(point_coords(f)))) for f in faces]
     draws = [(tosses, () if den is None else 1, 0)]
@@ -328,8 +328,9 @@ def mvbin_functorial(tosses: int, coin: Coin) -> GridDist:
                      for r, t, h in draws for m in counts[r]]
     if den is None:  # one sum per draw, as sum rounds floats its own way from Python 3.12
         draws = [(0, math.exp(lead + sum(t)), h) for _, t, h in draws]
-    points = grid_points(tosses, coin.n_dim)
-    return GridDist(tosses, coin.n_dim, Dist([(points[h], t) for _, t, h in draws], coin.dist.mode, den))
+    cells = {h for _, _, h in draws}  # decoded alone, as a sparse coin's grid can dwarf its draws
+    point = {h: h if n_dim == 1 else tuple(h // size**j % size for j in reversed(range(n_dim))) for h in cells}
+    return GridDist(tosses, n_dim, Dist([(point[h], t) for _, t, h in draws], coin.dist.mode, den))
 
 
 def _binomial_rows(off, on):

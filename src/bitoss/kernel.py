@@ -374,9 +374,8 @@ def count_msets(n_points: int, size: int) -> int:
 
 
 def check_mset_cap(n_points: int, size: int) -> None:
-    """Raise :class:`ResourceLimit` when the size-``size`` multisets over
-    ``n_points`` points outnumber the cap, ``BITOSS_MSET_CAP`` if it is set
-    and ``DEFAULT_MSET_CAP`` otherwise."""
+    """Raise :class:`ResourceLimit` when size-``size`` multisets over ``n_points``
+    points outnumber the cap: ``BITOSS_MSET_CAP``, else ``DEFAULT_MSET_CAP``."""
     raw = os.environ.get(MSET_CAP_ENV, DEFAULT_MSET_CAP)
     try:
         limit = int(raw)

@@ -754,6 +754,13 @@ class TestFaceWalk:
     def test_long_flip_equals_the_pushforward(self, r):
         assert mvbin_functorial(2000, flip(r)).dist == pushforward_grid(2000, flip(r))
 
+    @pytest.mark.parametrize("weights", [{(1, 0, 1): 1}, {(0, 0, 0): Fraction(2, 5), (1, 1, 1): Fraction(3, 5)},
+                                         {(0, 0, 0): 0.4, (1, 1, 1): 0.6}])
+    def test_sparse_coin_builds_only_its_cells(self, weights):
+        # a 2001-cell grid out of 2001**3: the walk must not build the whole grid
+        coin = Coin(3, Dist(weights))
+        assert mvbin_functorial(2000, coin).dist == pushforward_grid(2000, coin)
+
     def test_cap_counts_the_draws(self, monkeypatch):
         coin = Coin(3, Dist.from_weights({p: 1 for p in bit_points(3)}))
         count = count_msets(8, 3)
