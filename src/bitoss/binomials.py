@@ -27,9 +27,7 @@ moments are K times the coin moments.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product, repeat, starmap
@@ -38,6 +36,7 @@ from operator import getitem, mul
 from .kernel import (
     Dist,
     FLOAT,
+    Frozen,
     Infeasible,
     Multiset,
     OutOfRange,
@@ -53,8 +52,6 @@ from .kernel import (
     point_coords,
     zero,
 )
-
-log = logging.getLogger(__name__)
 
 # Exact enumeration over {0,1}^N grows doubly fast in N; three dimensions is
 # the supported default.
@@ -94,8 +91,7 @@ def _check_faces(points, n_dim: int) -> None:
         raise WrongSpace(f"point {bad[0]!r} is not a face of {{0,1}}^{n_dim}")
 
 
-@dataclass(frozen=True)
-class Coin:
+class Coin(Frozen):
     """A distribution on the faces ``{0,1}^N`` of an N-coin."""
 
     n_dim: int
@@ -109,8 +105,7 @@ class Coin:
         _check_faces(self.dist.support(), self.n_dim)
 
 
-@dataclass(frozen=True)
-class GridDist:
+class GridDist(Frozen):
     """A distribution on the count grid ``{0,...,K}^N`` after K tosses."""
 
     tosses: int
@@ -477,6 +472,7 @@ def recover_coin(grid, tosses: int, *, infeasible: str = "error") -> Coin:
         )
     clamped = {p: min(max(v, zero(dist.mode)), 1) for p, v in entries.items()}
     if out_of_band:  # only reachable with infeasible="clamp"
-        log.info("recover_coin clamped infeasible entries: %r", entries)
+        import logging  # here, so that start-up does not import it
+        logging.getLogger(__name__).info("recover_coin clamped infeasible entries: %r", entries)
     # clamping, and float rounding, can leave the sum off one
     return Coin(2, Dist.from_weights(clamped, mode=dist.mode))

@@ -9,14 +9,12 @@ support of the pushforward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
-from .kernel import Dist, DomainMismatch, ModeMismatch
+from .kernel import Dist, DomainMismatch, Frozen, ModeMismatch
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Frozen):
     """A finite map from domain points to distributions.
 
     The domain order is the deterministic iteration order.  All kernel

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import binomials, em, serialize, succession
 from .kernel import (
@@ -63,19 +62,20 @@ def _write_all(outputs: list[tuple[str, str]]) -> None:
         if target in named:
             raise UsageError(f"outputs {named[target]} and {path} name the same file")
         named[target] = path
-    temps = [Path(f"{path}.{os.getpid()}.tmp") for path, _ in outputs]
+    temps = [f"{path}.{os.getpid()}.tmp" for path, _ in outputs]
     try:
         for (path, text), tmp in zip(outputs, temps):
-            if Path(path).is_dir():
+            if os.path.isdir(path or "."):  # an empty path names the working directory
                 raise IsADirectoryError("is a directory")
-            tmp.write_text(text)
+            with open(tmp, "w") as fh:
+                fh.write(text)
         for (path, _), tmp in zip(outputs, temps):
-            tmp.replace(path)
+            os.replace(tmp, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        for tmp in filter(Path.exists, temps):
-            tmp.unlink()
+        for tmp in filter(os.path.exists, temps):
+            os.remove(tmp)
 
 
 def _coin_from_file(path: str, expect_dim: int | None = None) -> binomials.Coin:

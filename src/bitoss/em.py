@@ -20,7 +20,6 @@ step and after the last; up to the floors, it never rises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count
 from operator import mul
 
@@ -30,6 +29,7 @@ from .channels import dagger, push  # noqa: F401
 from .kernel import (
     Dist,
     FLOAT,
+    Frozen,
     ModeMismatch,
     Multiset,
     OutOfRange,
@@ -43,15 +43,13 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class EMConfig:
+class EMConfig(Frozen):
     """Run-time knob: the full-support floor applied to predicted grids and parameters."""
 
     floor: float = 1e-9
 
 
-@dataclass(frozen=True)
-class EMState:
+class EMState(Frozen):
     """Mixture over class labels ``0..C-1`` plus one two-coin per class."""
 
     mixture: Dist
@@ -77,15 +75,13 @@ class EMState:
         return len(self.coins)
 
 
-@dataclass(frozen=True)
-class EMRecord:
+class EMRecord(Frozen):
     iteration: int
     divergence: float
     state: EMState
 
 
-@dataclass(frozen=True)
-class EMTrace:
+class EMTrace(Frozen):
     records: tuple[EMRecord, ...]
 
     def __post_init__(self):

@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import Counter
-from collections.abc import Mapping
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterable, NamedTuple
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -145,6 +144,41 @@ def require_modes_equal(a: "Dist", b: "Dist") -> str:
     if a.mode != b.mode:
         raise ModeMismatch(f"cannot combine {a.mode} with {b.mode} distributions")
     return a.mode
+
+
+class Frozen:
+    """Base of the frozen value classes.  Fields are the class annotations, by
+    position or keyword (a class attribute is the default); ``__post_init__`` may
+    normalise them with ``object.__setattr__``.  Values compare by class and fields."""
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = tuple(cls.__annotations__)
+        rest = fields[len(args):]
+        missing = [name for name in rest if name not in kwargs and name not in vars(cls)]
+        if len(args) > len(fields) or kwargs.keys() - rest or missing:
+            raise TypeError(f"{cls.__name__}{fields}: got {len(args)} positional and {sorted(kwargs)}")
+        values = args + tuple(kwargs.get(name, vars(cls).get(name)) for name in rest)
+        vars(self).update(zip(fields, values))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +558,8 @@ def point_coords(p) -> tuple:
     raise WrongSpace(f"point {p!r} has no numeric coordinates")
 
 
-class Moments(NamedTuple):
-    mean: tuple
-    var: tuple
-    cov: tuple  # square matrix as nested tuples; cov[i][i] == var[i]
+# cov is the square matrix as nested tuples; cov[i][i] == var[i]
+Moments = namedtuple("Moments", "mean var cov")
 
 
 def moments(omega: Dist) -> Moments:

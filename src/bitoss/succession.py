@@ -24,7 +24,6 @@ channel over a truncated toss range (``tests/conftest.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
@@ -33,6 +32,7 @@ from .binomials import Coin, count_terms, fiber_counts, fiber_mean
 from .kernel import (
     DegenerateObservation,
     Dist,
+    Frozen,
     Multiset,
     OutOfRange,
     TWO_BY_TWO,
@@ -46,8 +46,7 @@ from .kernel import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Frozen):
     """Positive-integer Beta parameters (successes + 1, failures + 1)."""
 
     alpha: int
@@ -78,8 +77,7 @@ def beta_succession_mean(params: BetaParams, tosses: int, heads_seen: int) -> Fr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirichletParams:
+class DirichletParams(Frozen):
     """A full-support multiset of pseudo-counts over its base set."""
 
     psi: Multiset

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 import time
@@ -683,6 +684,13 @@ class TestRecover:
             grid = GridDist(2, 2, Dist({(2, 0): half, (0, 2): half}))
             coin = recover_coin(grid, 2, infeasible="clamp")
             assert coin.dist == Dist({(0, 1): half, (1, 0): half})
+
+    def test_clamp_logs_one_info_record(self, caplog):
+        grid = GridDist(2, 2, Dist({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}))
+        with caplog.at_level(logging.INFO, logger="bitoss.binomials"):
+            recover_coin(grid, 2, infeasible="clamp")
+        assert [(r.name, r.levelno) for r in caplog.records] == [("bitoss.binomials", logging.INFO)]
+        assert caplog.records[0].getMessage().startswith("recover_coin clamped infeasible entries")
 
     def test_float_round_trip_close(self, example_coin):
         grid = bivbin_direct(5, Coin(2, to_float(example_coin.dist)))

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bitoss
 from bitoss.binomials import Coin, GridDist, bivbin
 from bitoss.channels import Channel, push
 from bitoss.cli import main
@@ -500,6 +504,24 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run() == 2
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_logging():
+    # every process pays for what importing bitoss.cli loads; site may load
+    # modules through .pth files, so compare with a bare interpreter
+    src = os.path.dirname(os.path.dirname(bitoss.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys; print(' '.join(sys.modules))"
+
+    def loaded(code):
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    added = loaded("import bitoss.cli; " + probe) - loaded(probe)
+    assert "bitoss.cli" in added
+    assert not added & {"dataclasses", "inspect", "logging"}
 
 
 def _entries(*pairs, mode="rational"):

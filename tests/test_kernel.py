@@ -1,8 +1,10 @@
+import copy
 import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from bitoss.kernel import (
     Dist,
     EmptyMultiset,
     FLOAT,
+    Frozen,
     ModeMismatch,
     Multiset,
     NotNormalized,
@@ -48,7 +51,8 @@ from bitoss.binomials import (
     recover_coin,
     two_coin,
 )
-from bitoss.em import em_init, em_run
+from bitoss.channels import Channel
+from bitoss.em import EMConfig, EMRecord, EMState, EMTrace, em_init, em_run
 from bitoss.succession import (
     BetaParams,
     DirichletParams,
@@ -712,3 +716,112 @@ def test_counts_are_ints_from_their_least_value(call, low, kind):
     bad = {"bool": True, "float": 2.0, "below": low - 1}[kind]
     with pytest.raises(OutOfRange):
         call(bad)
+
+
+# ---------------------------------------------------------------------------
+# Frozen value classes
+# ---------------------------------------------------------------------------
+
+MIXTURE = Dist({0: 0.25, 1: 0.75})
+FACES = Dist({(0, 0): 0.5, (0, 1): 0.125, (1, 0): 0.125, (1, 1): 0.25})
+STATE = EMState(MIXTURE, (FACES, FACES), 3)
+FACES_TEXT = "Dist[float](0.5|(0, 0)> + 0.125|(0, 1)> + 0.125|(1, 0)> + 0.25|(1, 1)>)"
+STATE_TEXT = f"EMState(mixture=Dist[float](0.25|0> + 0.75|1>), coins=({FACES_TEXT}, {FACES_TEXT}), tosses=3)"
+KERNEL = {0: Dist({"a": 1}), 1: Dist({"a": Fraction(1, 2), "b": Fraction(1, 2)})}
+
+# (class, field names, field values, the repr the earlier dataclasses printed)
+FROZEN_VALUES = [
+    pytest.param(Coin, ("n_dim", "dist"), (1, Dist({0: Fraction(1, 3), 1: Fraction(2, 3)})),
+                 "Coin(n_dim=1, dist=Dist[rational](1/3|0> + 2/3|1>))", id="Coin"),
+    pytest.param(GridDist, ("tosses", "n_dim", "dist"),
+                 (2, 1, Dist({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})),
+                 "GridDist(tosses=2, n_dim=1, dist=Dist[rational](1/4|0> + 1/2|1> + 1/4|2>))",
+                 id="GridDist"),
+    pytest.param(Channel, ("domain", "kernel"), ((0, 1), KERNEL),
+                 "Channel(domain=(0, 1), kernel={0: Dist[rational](1|a>), "
+                 "1: Dist[rational](1/2|a> + 1/2|b>)})", id="Channel"),
+    pytest.param(EMConfig, ("floor",), (1e-6,), "EMConfig(floor=1e-06)", id="EMConfig"),
+    pytest.param(EMState, ("mixture", "coins", "tosses"), (MIXTURE, (FACES, FACES), 3),
+                 STATE_TEXT, id="EMState"),
+    pytest.param(EMRecord, ("iteration", "divergence", "state"), (2, 0.125, STATE),
+                 f"EMRecord(iteration=2, divergence=0.125, state={STATE_TEXT})", id="EMRecord"),
+    pytest.param(EMTrace, ("records",), ((EMRecord(0, 0.5, STATE),),),
+                 f"EMTrace(records=(EMRecord(iteration=0, divergence=0.5, state={STATE_TEXT}),))",
+                 id="EMTrace"),
+    pytest.param(BetaParams, ("alpha", "beta"), (2, 3), "BetaParams(alpha=2, beta=3)",
+                 id="BetaParams"),
+    pytest.param(DirichletParams, ("psi",), (Multiset({"a": 2, "b": 1}),),
+                 "DirichletParams(psi=2|a> + 1|b>)", id="DirichletParams"),
+]
+
+
+@pytest.mark.parametrize("cls, names, values, text", FROZEN_VALUES)
+class TestFrozenValues:
+    def test_positional_and_keyword_construction(self, cls, names, values, text):
+        value = cls(*values)
+        assert tuple(getattr(value, name) for name in names) == values
+        assert cls(**dict(zip(names, values))) == value
+        assert cls(values[0], **dict(zip(names[1:], values[1:]))) == value
+
+    def test_equal_and_hash_by_value(self, cls, names, values, text):
+        value = cls(*values)
+        assert copy.deepcopy(value) == value and not copy.deepcopy(value) != value
+        if cls is Channel:  # its kernel is a dict
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(copy.deepcopy(value)) == hash(value) == hash(values)
+
+    def test_other_class_is_never_equal(self, cls, names, values, text):
+        # a frozen class with the same fields, and the tuple of the values
+        twin = type(f"Twin{cls.__name__}", (Frozen,), {"__annotations__": dict.fromkeys(names)})
+        assert twin(*values) == twin(*values)
+        assert cls(*values) != twin(*values) and twin(*values) != cls(*values)
+        assert cls(*values) != values
+
+    def test_repr_is_unchanged(self, cls, names, values, text):
+        assert repr(cls(*values)) == text
+
+    def test_assignment_is_refused(self, cls, names, values, text):
+        value = cls(*values)
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, values[0])
+        for name in names:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert tuple(getattr(value, name) for name in names) == values
+
+    def test_missing_or_unknown_field_is_refused(self, cls, names, values, text):
+        refused = [
+            ((*values, None), {}),  # one field too many
+            (values, {"unknown": None}),
+            (values, {names[0]: values[0]}),  # a field given twice
+        ]
+        if cls is not EMConfig:  # the one class with a default
+            refused.append((values[:-1], {}))
+        for args, kwargs in refused:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+def test_em_config_default_floor():
+    assert EMConfig() == EMConfig(1e-9) == EMConfig(floor=1e-9)
+    assert repr(EMConfig()) == "EMConfig(floor=1e-09)"
+
+
+def test_post_init_normalises_fields():
+    state = EMState(MIXTURE, [FACES, FACES], 3)
+    assert state == STATE and type(state.coins) is tuple
+    trace = EMTrace(iter([EMRecord(0, 0.5, STATE)]))
+    assert trace.records == (EMRecord(0, 0.5, STATE),) and type(trace.records) is tuple
+    chan = Channel([0, 1], MappingProxyType(KERNEL))
+    assert type(chan.domain) is tuple and type(chan.kernel) is dict
+    assert chan == Channel((0, 1), KERNEL)
+
+
+def test_post_init_still_validates():
+    with pytest.raises(WrongSpace):
+        Coin(2, Dist({(0, 2): 1}))
+    with pytest.raises(OutOfRange):
+        DirichletParams(Multiset())
