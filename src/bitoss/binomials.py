@@ -350,9 +350,7 @@ def _cell_terms(tosses: int, coin: Coin):
     """A float two-coin's cells as fiber sums split on the first bit: the draw
     ``(a, b, c, d)`` = ``(#00, #01, #10, #11)`` has term ``lead[n1] *
     ones(n1)[d] * zeros(K-n1)[a]``, with ``lead`` = ``Bin(K, p1)`` and the
-    rows ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``.  ``terms(n1, n2)`` is
-    ``(lead[n1], low, products)``, with the row products for ``d`` from
-    ``low`` up, and the cell is ``lead[n1] * sum(products)``."""
+    rows ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``; ``terms(n1, n2)`` is the cell."""
     p00, p01, p10, p11 = _face_weights(coin)
 
     def rows(off: float, on: float):
@@ -363,12 +361,12 @@ def _cell_terms(tosses: int, coin: Coin):
     lead = rows(p00 + p01, p10 + p11)(tosses)
     ones, zeros = rows(p10, p11), rows(p01, p00)
 
-    def terms(n1: int, n2: int) -> tuple:
+    def terms(n1: int, n2: int):
         shift = tosses - n1 - n2  # a - d
         low, high = max(0, -shift), min(n1, n2)  # the range of d
         top = ones(n1)[low : high + 1]
         bottom = zeros(tosses - n1)[low + shift : high + shift + 1]
-        return lead[n1], low, list(map(mul, top, bottom))
+        return lead[n1] * sum(map(mul, top, bottom))
 
     return terms
 
@@ -389,10 +387,7 @@ def bivbin_cell(tosses: int, coin: Coin, n1: int, n2: int):
     cells, den = _exact_rows(tosses, coin) if exact else (_cell_terms(tosses, coin), None)
     if not (0 <= n1 <= tosses and 0 <= n2 <= tosses):
         return zero(coin.dist.mode)
-    if exact:
-        return Fraction(cells(n1)[n2], den)
-    lead, _, products = cells(n1, n2)
-    return lead * sum(products)
+    return Fraction(cells(n1)[n2], den) if exact else cells(n1, n2)
 
 
 def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
@@ -403,8 +398,7 @@ def bivbin_direct(tosses: int, coin: Coin) -> GridDist:
         row, den = _exact_rows(tosses, coin)
         cells = [c for n1 in range(tosses + 1) for c in row(n1)]
     else:
-        terms, den = _cell_terms(tosses, coin), None
-        cells = [lead * sum(p) for lead, _, p in starmap(terms, grid_points(tosses, 2))]
+        cells, den = list(starmap(_cell_terms(tosses, coin), grid_points(tosses, 2))), None
     return GridDist(tosses, 2, Dist(zip(grid_points(tosses, 2), cells), coin.dist.mode, den))
 
 

@@ -1,30 +1,31 @@
 """Expectation Maximisation for mixtures of bivariate binomials.
 
-The model is a mixture distribution over class labels together with one
-two-coin per class; class ``x`` predicts the grid distribution of its coin
-after ``K`` tosses.  One iteration performs the E-step as a Jeffrey update
-(in the paper's channel form, through ``push`` and
-``dagger``, the new mixture is the data pushed back through the dagger of
-the prediction channel) and the exact M-step: each new coin is the frequency
-of its class's expected faces over the fibers of the observed cells.
+The model is a mixture over class labels with one two-coin per class; each
+class predicts its coin's grid after ``K`` tosses.  An iteration is the
+E-step as a Jeffrey update (in the paper's channel form, the data pushed
+back through the dagger of the prediction channel) and the exact M-step:
+each new coin is the frequency of its class's expected faces over the
+observed cells' fibers.  A coin ``p`` weighs the draw ``(a, b, c, d)`` =
+``(#00, #01, #10, #11)`` of cell ``(n1, n2)`` as ``K!/(a! b! c! d!) *
+p00**(K-n1-n2) * p01**n2 * p10**n1 * psi**d``, with the odds ratio ``psi =
+p00 p11 / (p01 p10)``: ``#11`` on a fiber is Fisher's noncentral
+hypergeometric in ``psi``, over coefficients tabled once per fit.
 
-Predicted grids, mixtures and coins are floored (a small ``delta`` added to
-every point, then renormalized) so inversions never divide by zero.  Both
-steps read only the data's support: one pass over each observed cell's
-first-bit terms (:mod:`bitoss.binomials`) gives its probability and its
-expected faces, on plain floats; the channel form is the tests' oracle.  The
-run records the KL divergence from the data to the prediction before each
+Grids, mixtures and coins are floored (``delta`` added at every point, then
+renormalized), so ``psi`` is finite and no inversion divides by zero.  Both
+steps read only the data's support; the channel form is the tests' oracle.
+A run records the KL divergence from the data to the prediction before each
 step and after the last; up to the floors, it never rises.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count
+import sys
 from operator import mul
 
 # not called here: perfbench/layers.py wraps bivbin, recover_coin, dagger, push, kl_divergence
-from .binomials import Coin, _cell_terms, bivbin, off_grid, recover_coin  # noqa: F401
+from .binomials import bivbin, off_grid, recover_coin  # noqa: F401
 from .channels import dagger, push  # noqa: F401
 from .kernel import (
     Dist,
@@ -110,15 +111,14 @@ def em_init(n_classes: int, tosses: int, seed: int, config: EMConfig = EMConfig(
     """Deterministic random start: mixture and coins from the counter-based
     generator under ``seed``, floored to full support."""
     check_count(n_classes, "class count", 1)
-    draws = count()
 
-    def draw(points) -> Dist:
-        weights = [counter_rng(seed, next(draws)) / float(1 << 64) + 1e-6 for _ in points]
+    def draw(points, first: int) -> Dist:  # generator indices first, first + 1, ...
+        weights = [counter_rng(seed, first + i) / float(1 << 64) + 1e-6 for i in range(len(points))]
         floored = _floored(weights, config.floor, len(points), sum(weights))
         return Dist(zip(points, floored), mode=FLOAT)
 
-    mixture = draw(range(n_classes))
-    return EMState(mixture, tuple(draw(TWO_BY_TWO) for _ in range(n_classes)), tosses)
+    mixture = draw(range(n_classes), 0)
+    return EMState(mixture, tuple(draw(TWO_BY_TWO, n_classes + 4 * x) for x in range(n_classes)), tosses)
 
 
 def _check_data(data_dist: Dist, tosses: int) -> None:
@@ -129,35 +129,59 @@ def _check_data(data_dist: Dist, tosses: int) -> None:
         raise SupportMismatch(f"data points {outside!r} fall outside the grid")
 
 
-def _step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, EMState]:
+def _fibers(support, tosses: int, lpsi: float = 0.0) -> tuple:
+    """The cells' fiber tables for the odds ratio ``psi = exp(lpsi)``, coin-free at
+    1: ``(n1, n2, anchor, top, coeffs, moved)`` per cell, anchored at the lowest
+    ``d`` in the first list (for ``psi < 1``) and the highest in the second, where
+    ``coeffs[t] * exp(top) = K!/(a! b! c! d!) * psi**d`` at ``d = anchor ± t``
+    and ``moved[t] = ±t * coeffs[t]``."""
+    rising, falling, lg = [], [], math.lgamma
+    for n1, n2 in support:
+        low = max(0, n1 + n2 - tosses)
+        logs = [lg(tosses + 1) - lg(tosses - n1 - n2 + d + 1) - lg(n2 - d + 1) - lg(n1 - d + 1)
+                - lg(d + 1) + d * lpsi for d in range(low, min(n1, n2) + 1)]
+        top = max(logs)
+        coeffs = [math.exp(x - top) for x in logs]
+        rising.append((n1, n2, low, top, coeffs, [t * c for t, c in enumerate(coeffs)]))
+        coeffs = coeffs[::-1]
+        falling.append((n1, n2, min(n1, n2), top, coeffs, [-t * c for t, c in enumerate(coeffs)]))
+    return rising, falling
+
+
+def _step(state: EMState, data_dist: Dist, config: EMConfig, fibers: tuple) -> tuple[float, EMState]:
     """``(divergence, next)``: the KL divergence from the data to the
     mixture's floored predicted grid, and the state after one E+M iteration.
-    Each class takes the data mass it is responsible for at each observed cell ``(n1, n2)``,
-    where it expects ``E[#11]`` draws of ``|1,1>`` (the mean over the cell's
-    fiber, weighted by its coin's terms), ``n1 - E[#11]`` of ``|1,0>``, ``n2 -
-    E[#11]`` of ``|0,1>`` and the rest of ``|0,0>``."""
+    A class's cell and ``E[#11]`` are dot products of :func:`_fibers` tables
+    with the powers ``psi**-t`` or ``psi**t``, none above one; its other faces
+    follow from its expected heads and tosses, clamped at 0 against rounding."""
     freqs = [d for _, d in data_dist.items()]
-    joint, faces = [], []
+    joint, expected = [], []
     for (_, w), coin in zip(state.mixture.items(), state.coins):
-        terms = _cell_terms(state.tosses, Coin(2, coin))
-        cells, expected = [], []
-        for n1, n2 in data_dist.support():
-            lead, low, products = terms(n1, n2)
-            total, span = sum(products), len(products) - 1
-            cells.append(lead * total)
-            # capped so that rounding makes no face negative; all-underflow cells read mid-fiber
-            e11 = low + (min(sum(map(mul, count(), products)) / total, span) if total else span / 2)
-            expected.append((state.tosses - n1 - n2 + e11, n2 - e11, n1 - e11, e11))
+        l00, l01, l10, l11 = (math.log(p) for _, p in coin.items())
+        lpsi = l00 + l11 - l01 - l10
+        powers = [math.exp(-t * abs(lpsi)) for t in range(state.tosses // 2 + 1)]
+        cells, means = [], []
+        for n1, n2, anchor, top, coeffs, moved in fibers[lpsi >= 0]:
+            total = sum(map(mul, coeffs, powers))
+            if total >= sys.float_info.min:
+                top, mean = top + anchor * lpsi, anchor + sum(map(mul, moved, powers)) / total
+            else:  # a tail cell at K in the thousands under an extreme psi: log space
+                _, _, low, top, weights, moved = _fibers([(n1, n2)], state.tosses, lpsi)[0][0]
+                total, mean = sum(weights), low + sum(moved) / sum(weights)
+            cells.append(math.exp(top + (state.tosses - n1 - n2) * l00 + n2 * l01 + n1 * l10) * total)
+            means.append(mean)
         joint.append([w * g for g in _floored(cells, config.floor, (state.tosses + 1) ** 2)])
-        faces.append(expected)
+        expected.append(means)
     predicted = [sum(column) for column in zip(*joint)]
     divergence = sum(d * math.log(d / q) for d, q in zip(freqs, predicted))
     weighted = [[d * (j / q) for d, j, q in zip(freqs, row, predicted)] for row in joint]
     masses = [sum(row) for row in weighted]
     mixture = Dist(enumerate(_floored(masses, config.floor, len(masses), sum(masses))), mode=FLOAT)
+    firsts, seconds = zip(*data_dist.support())
     coins = []
-    for row, expected in zip(weighted, faces):
-        counts = [sum(map(mul, row, column)) for column in zip(*expected)]
+    for row, means, mass in zip(weighted, expected, masses):
+        h1, h2, e11 = (sum(map(mul, row, column)) for column in (firsts, seconds, means))
+        counts = [max(c, 0.0) for c in (state.tosses * mass - h1 - h2 + e11, h2 - e11, h1 - e11, e11)]
         floored = _floored(counts, config.floor, len(counts), sum(counts))
         coins.append(Dist(zip(TWO_BY_TWO, floored), mode=FLOAT))
     return max(divergence, 0.0), EMState(mixture, tuple(coins), state.tosses)
@@ -166,7 +190,7 @@ def _step(state: EMState, data_dist: Dist, config: EMConfig) -> tuple[float, EMS
 def em_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
     """One E+M iteration against a data distribution on the grid."""
     _check_data(data_dist, state.tosses)
-    return _step(state, data_dist, config)[1]
+    return _step(state, data_dist, config, _fibers(data_dist.support(), state.tosses))[1]
 
 
 def em_run(
@@ -186,9 +210,10 @@ def em_run(
     state = em_init(n_classes, tosses, seed, config)  # counts are checked before the data
     data_dist = to_float(flrn(data))
     _check_data(data_dist, tosses)
+    fibers = _fibers(data_dist.support(), tosses)
     records = []
     for i in range(iterations + 1):  # the last step only measures the final state
-        divergence, following = _step(state, data_dist, config)
+        divergence, following = _step(state, data_dist, config, fibers)
         records.append(EMRecord(i, divergence, state))
         state = following
     return EMTrace(tuple(records))

@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from bitoss.binomials import Coin, bivbin, fiber, grid_points, multinomial
+from bitoss.binomials import Coin, bivbin, fiber, fiber_counts, grid_points, multinomial
 from bitoss.channels import Channel, dagger, push
 from bitoss.em import (
     EMConfig,
@@ -82,6 +83,96 @@ def channel_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig())
                     faces[face] += mass * inversion(n)(x) * w / sum(weights) * phi(face)
         coins.append(floored(Dist.from_weights(faces, mode=FLOAT), TWO_BY_TWO, config.floor))
     return EMState(mixture=mixture, coins=tuple(coins), tosses=state.tosses)
+
+
+def log_space_step(state: EMState, data_dist: Dist, config: EMConfig = EMConfig()) -> EMState:
+    """Reference: one iteration that weighs every draw of every observed
+    cell's fiber in log space, ``log K!/(a! b! c! d!) + sum(count * log p)``,
+    and sums each class's expected faces cell by cell, so no term underflows
+    before it is scaled by its cell's largest."""
+    tosses, floor, lg = state.tosses, config.floor, math.lgamma
+    cells = data_dist.items()
+    joint, faces = [], []
+    for (_, w), coin in zip(state.mixture.items(), state.coins):
+        logp = [math.log(coin(face)) for face in TWO_BY_TWO]
+        row, expected = [], []
+        for (n1, n2), _ in cells:
+            draws = fiber_counts(tosses, n1, n2)
+            logs = [lg(tosses + 1) + math.fsum(m * l - lg(m + 1) for m, l in zip(counts, logp))
+                    for counts in draws]
+            top = max(logs)
+            weights = [math.exp(x - top) for x in logs]
+            total = math.fsum(weights)
+            row.append(w * (math.exp(top) * total + floor) / (1 + floor * (tosses + 1) ** 2))
+            expected.append([math.fsum(v * c[i] for v, c in zip(weights, draws)) / total
+                             for i in range(4)])
+        joint.append(row)
+        faces.append(expected)
+    predicted = [math.fsum(column) for column in zip(*joint)]
+    resp = [[d * j / q for (_, d), j, q in zip(cells, row, predicted)] for row in joint]
+    mixture = Dist.from_weights({x: math.fsum(r) for x, r in enumerate(resp)}, mode=FLOAT)
+    coins = []
+    for r, expected in zip(resp, faces):
+        counts = {f: math.fsum(v * e[i] for v, e in zip(r, expected)) for i, f in enumerate(TWO_BY_TWO)}
+        coins.append(floored(Dist.from_weights(counts, mode=FLOAT), TWO_BY_TWO, floor))
+    return EMState(floored(mixture, mixture.support(), floor), tuple(coins), tosses)
+
+
+def random_cells(tosses: int, n_cells: int, seed: int, extra=()) -> Dist:
+    """Data on ``n_cells`` distinct seeded random grid cells, plus ``extra``."""
+    rng = random.Random(seed)
+    points = set(extra)
+    while len(points) < n_cells + len(extra):
+        points.add((rng.randint(0, tosses), rng.randint(0, tosses)))
+    return Dist.from_weights({p: rng.random() + 0.01 for p in points}, mode=FLOAT)
+
+
+def coin(p00: float, p01: float, p10: float, p11: float) -> Dist:
+    return Dist(zip(TWO_BY_TWO, (p00, p01, p10, p11)), mode=FLOAT)
+
+
+ENTWINED = coin(0.5 - 1e-9, 1e-9, 1e-9, 0.5 - 1e-9)  # psi about 2.5e17, at the floor
+OPPOSED = coin(1e-9, 0.5 - 1e-9, 0.5 - 1e-9, 1e-9)  # psi about 4e-18
+
+
+def assert_states_close(got: EMState, ref: EMState, rel: float) -> None:
+    for x in range(ref.n_classes):
+        assert math.isclose(got.mixture(x), ref.mixture(x), rel_tol=rel), x
+        for face in TWO_BY_TWO:
+            assert math.isclose(got.coins[x](face), ref.coins[x](face), rel_tol=rel), (x, face)
+
+
+class TestFiberTables:
+    """The E-step reads each cell's fiber as a noncentral hypergeometric in
+    the coin's odds ratio; a log-space sum over the fiber's draws is the oracle."""
+
+    @pytest.mark.parametrize("tosses", [60, 300])
+    def test_floor_coin_matches_log_space(self, tosses):
+        # under this coin most cells' first-bit row products underflow
+        state = EMState(Dist({0: 1.0}), (ENTWINED,), tosses)
+        data_dist = random_cells(tosses, 60, tosses)
+        assert_states_close(em_step(state, data_dist), log_space_step(state, data_dist), 1e-12)
+
+    @pytest.mark.parametrize("tosses", [1048, 2000])
+    @pytest.mark.parametrize("coins", [(ENTWINED,), (OPPOSED,), (ENTWINED, OPPOSED)])
+    def test_extreme_odds_ratio_at_large_tosses(self, coins, tosses):
+        # at the diagonal cell (K/2, K/2) the scaled fiber weights sum to a
+        # subnormal at K = 1048 and to 0 at K = 2000 under both coins, so the
+        # cell is weighed in log space
+        mixture = Dist({x: 1 / len(coins) for x in range(len(coins))}, mode=FLOAT)
+        state = EMState(mixture, coins, tosses)
+        extra = [(tosses // 2, tosses // 2), (0, tosses), (tosses, tosses)]
+        data_dist = random_cells(tosses, 60, 7, extra)
+        got = em_step(state, data_dist)
+        assert all(math.isfinite(v) and v > 0 for c in (got.mixture, *got.coins) for _, v in c.items())
+        assert_states_close(got, log_space_step(state, data_dist), 1e-12)
+
+    def test_product_coin_is_central(self):
+        # psi = 1: the product coin and the uniform coin, for which log psi is exactly 0
+        tosses = 8
+        state = EMState(Dist({0: 0.4, 1: 0.6}), (coin(0.28, 0.42, 0.12, 0.18), coin(0.25, 0.25, 0.25, 0.25)), tosses)
+        data_dist = to_float(flrn(sample(mixture_dist(tosses), 500, 3)))
+        assert_states_close(em_step(state, data_dist), channel_step(state, data_dist), 1e-12)
 
 
 class TestInit:
