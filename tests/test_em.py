@@ -127,12 +127,12 @@ def random_cells(tosses: int, n_cells: int, seed: int, extra=()) -> Dist:
     return Dist.from_weights({p: rng.random() + 0.01 for p in points}, mode=FLOAT)
 
 
-def coin(p00: float, p01: float, p10: float, p11: float) -> Dist:
+def float_coin(p00: float, p01: float, p10: float, p11: float) -> Dist:
     return Dist(zip(TWO_BY_TWO, (p00, p01, p10, p11)), mode=FLOAT)
 
 
-ENTWINED = coin(0.5 - 1e-9, 1e-9, 1e-9, 0.5 - 1e-9)  # psi about 2.5e17, at the floor
-OPPOSED = coin(1e-9, 0.5 - 1e-9, 0.5 - 1e-9, 1e-9)  # psi about 4e-18
+ENTWINED = float_coin(0.5 - 1e-9, 1e-9, 1e-9, 0.5 - 1e-9)  # psi about 2.5e17, at the floor
+OPPOSED = float_coin(1e-9, 0.5 - 1e-9, 0.5 - 1e-9, 1e-9)  # psi about 4e-18
 
 
 def assert_states_close(got: EMState, ref: EMState, rel: float) -> None:
@@ -148,7 +148,7 @@ class TestFiberTables:
 
     @pytest.mark.parametrize("tosses", [60, 300])
     def test_floor_coin_matches_log_space(self, tosses):
-        # under this coin most cells' first-bit row products underflow
+        # under this coin a fiber's weights can span more than a double's range
         state = EMState(Dist({0: 1.0}), (ENTWINED,), tosses)
         data_dist = random_cells(tosses, 60, tosses)
         assert_states_close(em_step(state, data_dist), log_space_step(state, data_dist), 1e-12)
@@ -170,7 +170,8 @@ class TestFiberTables:
     def test_product_coin_is_central(self):
         # psi = 1: the product coin and the uniform coin, for which log psi is exactly 0
         tosses = 8
-        state = EMState(Dist({0: 0.4, 1: 0.6}), (coin(0.28, 0.42, 0.12, 0.18), coin(0.25, 0.25, 0.25, 0.25)), tosses)
+        coins = (float_coin(0.28, 0.42, 0.12, 0.18), float_coin(0.25, 0.25, 0.25, 0.25))
+        state = EMState(Dist({0: 0.4, 1: 0.6}), coins, tosses)
         data_dist = to_float(flrn(sample(mixture_dist(tosses), 500, 3)))
         assert_states_close(em_step(state, data_dist), channel_step(state, data_dist), 1e-12)
 
