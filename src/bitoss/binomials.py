@@ -45,8 +45,8 @@ from .kernel import (
     WrongSpace,
     check_count,
     check_mset_cap,
+    check_probability,
     coerce_scalar,
-    dist_map,
     enumerate_msets,
     moments,
     point_coords,
@@ -127,16 +127,9 @@ def two_coin(p00, p01, p10, p11) -> Coin:
     return Coin(2, Dist({(0, 0): p00, (0, 1): p01, (1, 0): p10, (1, 1): p11}))
 
 
-def _check_probability(r):
-    r = coerce_scalar(r, FLOAT if isinstance(r, float) else RATIONAL)
-    if not 0 <= r <= 1:
-        raise OutOfRange(f"probability {r!r} outside [0, 1]")
-    return r
-
-
 def flip(r) -> Coin:
     """Single biased coin: probability ``r`` of 1 and ``1 - r`` of 0."""
-    r = _check_probability(r)
+    r = check_probability(r)
     return Coin(1, Dist({1: r, 0: 1 - r}))
 
 
@@ -223,7 +216,7 @@ def face_terms(weights, tosses: int, mode: str):
 
 def binomial(tosses: int, r) -> Dist:
     """Number of 1s in ``tosses`` flips of a coin with bias ``r``."""
-    r = _check_probability(r)
+    r = check_probability(r)
     if isinstance(r, float):
         return Dist(enumerate(_binomial_rows(*_powers([1 - r, r], tosses))(tosses)), FLOAT)
     (off, on), den = _numerators([1 - r, r], tosses)
@@ -340,7 +333,8 @@ def _binomial_rows(off, on):
     return row
 
 
-def _face_weights(coin: Coin) -> list:
+def face_weights(coin: Coin) -> list:
+    """A two-coin's weights in ``TWO_BY_TWO`` order: ``[p00, p01, p10, p11]``."""
     if coin.n_dim != 2:
         raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
     return [coin.dist(p) for p in TWO_BY_TWO]
@@ -351,7 +345,7 @@ def _cell_terms(tosses: int, coin: Coin):
     ``(a, b, c, d)`` = ``(#00, #01, #10, #11)`` has term ``lead[n1] *
     ones(n1)[d] * zeros(K-n1)[a]``, with ``lead`` = ``Bin(K, p1)`` and the
     rows ``Bin(m, p11 / p1)`` and ``Bin(m, p00 / p0)``; ``terms(n1, n2)`` is the cell."""
-    p00, p01, p10, p11 = _face_weights(coin)
+    p00, p01, p10, p11 = face_weights(coin)
 
     def rows(off: float, on: float):
         # a first bit that never comes up has lead 0 wherever these rows are read
@@ -375,7 +369,7 @@ def _exact_rows(tosses: int, coin: Coin):
     """``(row, den)``: ``row(n1)`` holds the numerators over ``den = D**K`` of
     the cells ``(n1, 0..K)`` of a rational two-coin's grid, ``C(K, n1)``
     times the coefficients of ``(p10 + p11*y)**n1 * (p00 + p01*y)**(K-n1)``."""
-    (p00, p01, p10, p11), den = _numerators(_face_weights(coin), tosses)
+    (p00, p01, p10, p11), den = _numerators(face_weights(coin), tosses)
     return (lambda n1: _expand(p10, p11, n1, p00, p01, tosses - n1, math.comb(tosses, n1))), den
 
 
@@ -409,10 +403,8 @@ def bivbin_tails(tosses: int, coin: Coin) -> GridDist:
     and ``l`` zeros in the second, i.e. the heads construction applied to the
     coin with both bits flipped.
     """
-    if coin.n_dim != 2:
-        raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    flipped = dist_map(lambda p: (1 - p[0], 1 - p[1]), coin.dist)
-    return bivbin_direct(tosses, Coin(2, flipped))
+    p00, p01, p10, p11 = face_weights(coin)
+    return bivbin_direct(tosses, two_coin(p11, p10, p01, p00))
 
 
 def bivbin(tosses: int, coin: Coin) -> GridDist:

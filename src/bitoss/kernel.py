@@ -136,6 +136,15 @@ def check_count(value, name: str, low: int = 0) -> int:
     raise OutOfRange(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_probability(value, name: str = "probability"):
+    """``value`` in [0, 1], as a `float` if it is one and as a `Fraction`
+    otherwise (:func:`coerce_scalar`); :class:`OutOfRange` otherwise."""
+    value = coerce_scalar(value, FLOAT if isinstance(value, float) else RATIONAL)
+    if not 0 <= value <= 1:
+        raise OutOfRange(f"{name} {value!r} outside [0, 1]")
+    return value
+
+
 def zero(mode: str):
     return Fraction(0) if mode == RATIONAL else 0.0
 
@@ -212,11 +221,6 @@ class Multiset:
         phi = cls.__new__(cls)
         object.__setattr__(phi, "_entries", entries)
         return phi
-
-    @classmethod
-    def from_elements(cls, elements: Iterable) -> "Multiset":
-        """Count an iterable of points into a multiset."""
-        return cls(Counter(elements))
 
     @property
     def size(self) -> int:
@@ -584,15 +588,21 @@ def moments(omega: Dist) -> Moments:
 def kl_divergence(p: Dist, q: Dist) -> float:
     """Kullback-Leibler divergence ``sum p(x) ln(p(x)/q(x))`` as a float.
 
-    Requires ``support(p) <= support(q)``; raises :class:`SupportMismatch`
-    otherwise.  Tiny negative rounding residues are clamped to zero.
+    Requires ``support(p) <= support(q)`` of the exact values; raises
+    :class:`SupportMismatch` otherwise.  A cell whose float ratio is 0 or
+    infinite takes the exact ratio's log.  Tiny negative residues are clamped to zero.
     """
     total = 0.0
     for x, px in p.items():
-        qx = float(q(x))
-        if qx <= 0.0:
+        qx = q(x)
+        if qx <= 0:
             raise SupportMismatch(f"q has zero mass at {x!r} where p is positive")
-        total += float(px) * math.log(float(px) / qx)
+        fp, fq = float(px), float(qx)
+        if fq and 0.0 < fp / fq < math.inf:
+            total += fp * math.log(fp / fq)
+        else:
+            exact = Fraction(px) / Fraction(qx)
+            total += fp * (math.log(exact.numerator) - math.log(exact.denominator))
     return total if total > 0.0 else 0.0
 
 

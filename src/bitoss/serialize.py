@@ -21,11 +21,13 @@ states and traces are written only.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .binomials import GridDist
 from .em import EMState, EMTrace
 from .kernel import BitossError, Dist, FLOAT, Multiset, OutOfRange, RATIONAL, _is_int_point, point_coords
+from .kernel import check_count, coerce_scalar
 
 
 class FormatError(BitossError, ValueError):
@@ -55,15 +57,21 @@ def multiset_to_json(phi: Multiset) -> dict:
     }
 
 
-def multiset_from_json(obj) -> Multiset:
+@contextmanager
+def _reading(kind: str):
+    """Raise any failure of the block that is not a :class:`FormatError` as
+    one, naming the kind of document read."""
     try:
-        return Multiset(
-            (point_from_json(e["point"]), e["mult"]) for e in obj["entries"]
-        )
+        yield
     except FormatError:
         raise
     except Exception as exc:
-        raise FormatError(f"bad multiset document: {exc}") from exc
+        raise FormatError(f"bad {kind} document: {exc}") from exc
+
+
+def multiset_from_json(obj) -> Multiset:
+    with _reading("multiset"):
+        return Multiset((point_from_json(e["point"]), e["mult"]) for e in obj["entries"])
 
 
 def dist_to_json(omega: Dist) -> dict:
@@ -79,7 +87,7 @@ def dist_to_json(omega: Dist) -> dict:
 
 
 def dist_from_json(obj) -> Dist:
-    try:
+    with _reading("distribution"):
         mode = obj["mode"]
         if mode not in (RATIONAL, FLOAT):
             raise FormatError(f"unknown mode {mode!r}")
@@ -87,14 +95,10 @@ def dist_from_json(obj) -> Dist:
         for e in obj["entries"]:
             point = point_from_json(e["point"])
             if mode == RATIONAL:
-                pairs.append((point, Fraction(e["num"], e["den"])))
+                pairs.append((point, Fraction(check_count(e["num"], "num"), check_count(e["den"], "den", 1))))
             else:
-                pairs.append((point, float(e["p"])))
+                pairs.append((point, coerce_scalar(e["p"], FLOAT)))
         return Dist(pairs, mode=mode)
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"bad distribution document: {exc}") from exc
 
 
 def grid_to_json(grid: GridDist) -> dict:
@@ -105,12 +109,8 @@ def grid_to_json(grid: GridDist) -> dict:
 
 
 def grid_from_json(obj) -> GridDist:
-    try:
+    with _reading("grid"):
         return GridDist(obj["K"], obj["N"], dist_from_json(obj))
-    except FormatError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"bad grid document: {exc}") from exc
 
 
 def emstate_to_json(state: EMState) -> dict:

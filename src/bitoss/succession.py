@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .binomials import Coin, count_terms, fiber_counts, fiber_mean
+from .binomials import Coin, count_terms, face_weights, fiber_counts, fiber_mean
 from .kernel import (
     DegenerateObservation,
     Dist,
@@ -38,6 +38,7 @@ from .kernel import (
     TWO_BY_TWO,
     WrongSpace,
     check_count,
+    check_probability,
     flrn,
 )
 
@@ -62,7 +63,7 @@ class BetaParams(Frozen):
 
 def beta_update(params: BetaParams, tosses: int, heads_seen: int) -> BetaParams:
     """Conjugate update after seeing ``heads_seen`` heads in ``tosses``."""
-    if not 0 <= heads_seen <= tosses:
+    if check_count(heads_seen, "heads count") > check_count(tosses, "toss count"):
         raise OutOfRange(f"need 0 <= heads <= tosses, got {heads_seen}/{tosses}")
     return BetaParams(params.alpha + heads_seen, params.beta + tosses - heads_seen)
 
@@ -107,15 +108,11 @@ def dirichlet_succession_mean(params: DirichletParams, draw: Multiset) -> Dist:
     return dirichlet_update(params, draw).mean()
 
 
-def _check_two_by_two(params: DirichletParams) -> None:
-    if params.base() != TWO_BY_TWO or any(params.psi(p) < 1 for p in TWO_BY_TWO):
-        raise WrongSpace("parameters must have full support on {0,1} x {0,1}")
-
-
 def _fiber_update(params: DirichletParams, tosses: int, n1: int, n2: int, weight) -> Dist:
     """``Flrn(psi + E[phi])``, with ``E`` weighting each draw ``phi`` in the
     fiber of ``(n1, n2)`` by ``weight`` of its face counts."""
-    _check_two_by_two(params)
+    if params.base() != TWO_BY_TWO:  # a multiset's base holds its points of count >= 1
+        raise WrongSpace("parameters must have full support on {0,1} x {0,1}")
     draws = fiber_counts(tosses, n1, n2)
     counts = fiber_mean(draws, [weight(c) for c in draws])
     size = params.psi.size + tosses
@@ -169,22 +166,24 @@ def _poisson_log_pmf(rate: float, k: int) -> float:
     return k * math.log(rate) - rate - math.lgamma(k + 1)
 
 
+def _check_rate(rate):
+    """``rate`` if it is a finite number ``>= 0``, not a ``bool``; :class:`OutOfRange` otherwise."""
+    if not isinstance(rate, bool) and isinstance(rate, (int, float, Fraction)) and 0 <= rate < math.inf:
+        return rate
+    raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
+
+
 def poisson_pmf(rate: float, k: int) -> float:
     """``e^(-rate) * rate^k / k!`` for a count ``k``, computed in log space."""
-    if not 0 <= rate < math.inf:
-        raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    return math.exp(_poisson_log_pmf(rate, check_count(k, "count")))
+    return math.exp(_poisson_log_pmf(_check_rate(rate), check_count(k, "count")))
 
 
 def binomial_poisson_mean(detect_prob: float, rate: float, detected: int) -> float:
     """Expected emitted count after detecting ``detected`` particles through
     a detector of efficiency ``detect_prob``: ``n + (1 - r) * rate``."""
-    if not 0.0 <= detect_prob <= 1.0:
-        raise OutOfRange(f"detection probability {detect_prob!r} outside [0, 1]")
-    if not 0 <= rate < math.inf:
-        raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    check_count(detected, "detected count")
-    return detected + (1.0 - detect_prob) * rate
+    r = check_probability(detect_prob, "detection probability")
+    _check_rate(rate)
+    return check_count(detected, "detected count") + (1.0 - r) * rate
 
 
 def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
@@ -197,12 +196,10 @@ def bivbin_poisson_mean(coin: Coin, rate: float, n1: int, n2: int) -> float:
     01, 10, 11 count ``(n2-j, n1-j, j)``, by the product of those faces'
     Poisson pmfs at rates ``g(f)*rate``, normalised in log space.
     """
-    if coin.n_dim != 2:
-        raise OutOfRange(f"requires a two-coin, got dimension {coin.n_dim}")
-    if not 0 <= rate < math.inf:
-        raise OutOfRange(f"rate must be finite and >= 0, got {rate!r}")
-    rate00, *rates = (float(coin.dist(p)) * rate for p in TWO_BY_TWO)
-    draws = fiber_counts(n1 + n2, n1, n2)
+    weights = face_weights(coin)
+    _check_rate(rate)
+    rate00, *rates = (float(w) * rate for w in weights)
+    draws = fiber_counts(check_count(n1, "n1") + check_count(n2, "n2"), n1, n2)
     logs = [
         sum(_poisson_log_pmf(r, m) for r, m in zip(rates, counts[1:]))
         for counts in draws

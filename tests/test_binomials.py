@@ -366,6 +366,16 @@ class TestTails:
         )
         assert bivbin_tails(2, example_coin).dist == mvbin_functorial(2, flipped).dist
 
+    @pytest.mark.parametrize("coin", [ZERO_FACE_COIN, Coin(2, to_float(MIXTURE_COINS[0].dist))])
+    def test_equals_the_grid_of_the_flipped_coin(self, coin):
+        flipped = Coin(2, dist_map(lambda p: (1 - p[0], 1 - p[1]), coin.dist))
+        assert bivbin_tails(7, coin).dist == bivbin_direct(7, flipped).dist
+
+    def test_three_coin_is_refused(self):
+        coin = Coin(3, Dist({(0, 0, 0): Fraction(1, 2), (1, 1, 1): Fraction(1, 2)}))
+        with pytest.raises(OutOfRange, match="^requires a two-coin, got dimension 3$"):
+            bivbin_tails(2, coin)
+
 
 def heads_coefficient_sum(tosses: int, n_dim: int, target) -> int:
     total = 0

@@ -495,6 +495,31 @@ class TestBoolPoints:
         assert "integer array" in captured.err
 
 
+class TestNonNumberValues:
+    """JSON ``true`` and strings are not probabilities: ``sample`` and
+    ``bivbin`` refuse them before anything is computed or written."""
+
+    DOCS = {
+        "num true": {"mode": "rational", "entries": [{"point": [0], "num": True, "den": 2},
+                                                     {"point": [1], "num": 1, "den": 2}]},
+        "p true": {"mode": "float", "entries": [{"point": [1], "p": True}]},
+        "p str": {"mode": "float", "entries": [{"point": [0], "p": "0.5"}, {"point": [1], "p": 0.5}]},
+    }
+
+    @pytest.mark.parametrize("name", DOCS)
+    @pytest.mark.parametrize("command", ["sample", "bivbin"])
+    def test_exits_two_and_writes_nothing(self, tmp_path, capsys, command, name):
+        path, out = tmp_path / "d.json", tmp_path / "o.json"
+        path.write_text(json.dumps(self.DOCS[name]))
+        if command == "sample":
+            argv = ["sample", "--dist", path, "--n", 5, "--seed", 1]
+        else:
+            argv = ["bivbin", "--coin", path, "--K", 2]
+        assert run(*argv, "--out", out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: bad distribution document: ")
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run("bogus") == 2
@@ -548,6 +573,9 @@ CORPUS = {
     "float num": _entries(([0, 0], (1.5, 1))),
     "nan p": _entries(([0, 0], "nan"), mode="float"),
     "text p": _entries(([0, 0], "x"), mode="float"),
+    "bool num": _entries(([0], (True, 2)), ([1], _HALF)),
+    "bool p": _entries(([1], True), mode="float"),
+    "numeric text p": _entries(([0], "0.5"), ([1], 0.5), mode="float"),
     "bool point": _entries(([True], _HALF), ([0], _HALF)),
     "text point": _entries(("ab", (1, 1))),
     "1-coin": _entries(([0], _HALF), ([1], _HALF)),

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from types import MappingProxyType
@@ -56,6 +57,7 @@ from bitoss.em import EMConfig, EMRecord, EMState, EMTrace, em_init, em_run
 from bitoss.succession import (
     BetaParams,
     DirichletParams,
+    beta_succession_mean,
     binomial_poisson_mean,
     bivbin_dirichlet_mean,
     bivbin_dirichlet_mean_oracle,
@@ -91,9 +93,6 @@ class TestMultiset:
 
     def test_size_counts_multiplicity(self):
         assert URN.size == 10
-
-    def test_from_elements(self):
-        assert Multiset.from_elements("abca") == Multiset({"a": 2, "b": 1, "c": 1})
 
     @given(multisets("abc"), multisets("abc"), multisets("abc"))
     def test_addition_commutative_associative(self, x, y, z):
@@ -191,7 +190,7 @@ class TestEnumeration:
         points = bit_points(n_dim)
         for size in range(9):
             expected = [
-                Multiset.from_elements(seq)
+                Multiset(Counter(seq))
                 for seq in combinations_with_replacement(points, size)
             ]
             assert enumerate_msets(points, size) == expected
@@ -606,6 +605,16 @@ class TestKL:
         with pytest.raises(SupportMismatch):
             kl_divergence(Dist({"a": 0.5, "b": 0.5}), Dist({"a": 1.0}))
 
+    @pytest.mark.parametrize("r, s", [(Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 2)),
+                                      (Fraction(1, 2), Fraction(1, 3))], ids=["self", "p-below", "q-below"])
+    def test_exact_cells_below_the_least_float(self, r, s):
+        # (1/3)**1000 is a positive cell of Bin(1000, 1/3) that a float rounds
+        # to 0; KL(Bin(K, r) || Bin(K, s)) is K times KL(flip(r) || flip(s))
+        tosses = 1000
+        expected = tosses * (r * math.log(r / s) + (1 - r) * math.log((1 - r) / (1 - s)))
+        got = kl_divergence(binomial(tosses, r), binomial(tosses, s))
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
     @given(
         rational_dists([0, 1, 2], min_weight=1),
         rational_dists([0, 1, 2], min_weight=1),
@@ -667,7 +676,7 @@ class TestSample:
             points[bisect_right(thresholds, Fraction(counter_rng(seed, i), 2**64))]
             for i in range(300)
         ]
-        assert sample(omega, 300, seed) == Multiset.from_elements(draws)
+        assert sample(omega, 300, seed) == Multiset(Counter(draws))
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +702,10 @@ COUNT_ARGUMENTS = [
     pytest.param(lambda v: em_run(Multiset({(0, 0): 1}), 1, 2, v, 0), 1, id="em_run.iterations"),
     pytest.param(lambda v: BetaParams(v, 1), 1, id="BetaParams.alpha"),
     pytest.param(lambda v: BetaParams(1, v), 1, id="BetaParams.beta"),
+    pytest.param(lambda v: beta_succession_mean(BetaParams(1, 1), v, 0), 0,
+                 id="beta_succession_mean.tosses"),
+    pytest.param(lambda v: beta_succession_mean(BetaParams(1, 1), 3, v), 0,
+                 id="beta_succession_mean.heads"),
     pytest.param(lambda v: binomial_poisson_mean(0.5, 1.0, v), 0, id="binomial_poisson_mean"),
     pytest.param(lambda v: bivbin_poisson_mean(EXAMPLE_COIN, 1.0, v, 0), 0,
                  id="bivbin_poisson_mean.n1"),
@@ -709,13 +722,42 @@ COUNT_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["bool", "float", "below"])
+@pytest.mark.parametrize("kind", ["bool", "float", "str", "below"])
 @pytest.mark.parametrize("call, low", COUNT_ARGUMENTS)
 def test_counts_are_ints_from_their_least_value(call, low, kind):
     call(low)
-    bad = {"bool": True, "float": 2.0, "below": low - 1}[kind]
+    bad = {"bool": True, "float": 2.0, "str": "2", "below": low - 1}[kind]
     with pytest.raises(OutOfRange):
         call(bad)
+
+
+# ---------------------------------------------------------------------------
+# Probability arguments
+# ---------------------------------------------------------------------------
+
+# each call takes the probability as its one argument
+PROBABILITY_ARGUMENTS = [
+    pytest.param(flip, id="flip"),
+    pytest.param(lambda v: binomial(3, v), id="binomial"),
+    pytest.param(lambda v: binomial_poisson_mean(v, 1.0, 2), id="binomial_poisson_mean"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", 1.5, Fraction(-1, 4), math.nan],
+                         ids=["true", "false", "str", "above", "below", "nan"])
+@pytest.mark.parametrize("call", PROBABILITY_ARGUMENTS)
+def test_probabilities_are_numbers_in_the_unit_interval(call, bad):
+    for good in (0, 1, 0.5, Fraction(1, 3)):
+        call(good)
+    with pytest.raises(OutOfRange):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, text", [(flip, "probability"),
+                                        (lambda v: binomial_poisson_mean(v, 1.0, 2), "detection probability")])
+def test_probability_message_names_the_argument(call, text):
+    with pytest.raises(OutOfRange, match=rf"^{text} 1\.5 outside \[0, 1\]$"):
+        call(1.5)
 
 
 # ---------------------------------------------------------------------------

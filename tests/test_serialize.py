@@ -103,6 +103,26 @@ class TestRoundTrips:
             multiset_from_json({"entries": [{"point": [0], "mult": "x"}]})
 
 
+# each document would read as a distribution if bools and strings were numbers
+NON_NUMBER_VALUES = {
+    "num true": ("rational", [{"num": True, "den": 2}, {"num": 1, "den": 2}]),
+    "den true": ("rational", [{"num": 1, "den": True}]),
+    "num str": ("rational", [{"num": "1", "den": 2}, {"num": 1, "den": 2}]),
+    "p true": ("float", [{"p": True}]),
+    "p str": ("float", [{"p": "0.5"}, {"p": 0.5}]),
+}
+
+
+@pytest.mark.parametrize("name", NON_NUMBER_VALUES)
+def test_entry_values_are_numbers(name):
+    mode, values = NON_NUMBER_VALUES[name]
+    doc = {"mode": mode, "entries": [{"point": [i], **v} for i, v in enumerate(values)]}
+    with pytest.raises(FormatError, match="^bad distribution document: "):
+        dist_from_json(doc)
+    with pytest.raises(FormatError, match="^bad distribution document: "):
+        grid_from_json(doc | {"K": 1, "N": 1})
+
+
 class TestCSV:
     def test_grid_matrix_layout(self):
         grid = bivbin(2, EXAMPLE_COIN)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bitoss.binomials import binomial, bivbin_cell, fiber, two_coin
+from bitoss.binomials import Coin, binomial, bivbin_cell, fiber, two_coin
 from bitoss.kernel import (
     DegenerateObservation,
     Dist,
@@ -281,7 +281,7 @@ class TestPoissonPmf:
         total = sum(poisson_pmf(3.5, k) for k in range(200))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0, True, "2.0"])
     def test_rate_must_be_finite_and_nonnegative(self, rate):
         with pytest.raises(OutOfRange):
             poisson_pmf(rate, 2)
@@ -289,6 +289,20 @@ class TestPoissonPmf:
             binomial_poisson_mean(0.5, rate, 2)
         with pytest.raises(OutOfRange):
             bivbin_poisson_mean(two_coin(*(Fraction(1, 4),) * 4), rate, 1, 2)
+
+    @pytest.mark.parametrize("rate", [-1.0, True, "2.0", None])
+    def test_every_refused_rate_reads_one_message(self, rate):
+        for call in (lambda: poisson_pmf(rate, 2), lambda: binomial_poisson_mean(0.5, rate, 2),
+                     lambda: bivbin_poisson_mean(two_coin(*(Fraction(1, 4),) * 4), rate, 1, 2)):
+            with pytest.raises(OutOfRange, match=rf"^rate must be finite and >= 0, got {rate!r}$"):
+                call()
+
+    @pytest.mark.parametrize("rate", [2, Fraction(5, 2)])
+    def test_int_and_fraction_rates_give_the_float_results(self, rate):
+        coin = two_coin(Fraction(1, 4), Fraction(1, 6), Fraction(1, 12), Fraction(1, 2))
+        assert poisson_pmf(rate, 3) == poisson_pmf(float(rate), 3)
+        assert binomial_poisson_mean(0.5, rate, 3) == binomial_poisson_mean(0.5, float(rate), 3)
+        assert bivbin_poisson_mean(coin, rate, 1, 2) == bivbin_poisson_mean(coin, float(rate), 1, 2)
 
     def test_params_validation(self):
         with pytest.raises(OutOfRange):
@@ -368,6 +382,11 @@ class TestBivbinPoisson:
         for n1, n2 in ((1, 2), (2, 1)):
             got = bivbin_poisson_mean(coin, 1e6, n1, n2)
             assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_three_coin_is_refused(self):
+        coin = Coin(3, Dist({(0, 0, 0): Fraction(1, 2), (1, 1, 1): Fraction(1, 2)}))
+        with pytest.raises(OutOfRange, match="^requires a two-coin, got dimension 3$"):
+            bivbin_poisson_mean(coin, 1.0, 1, 0)
 
     def test_degenerate_observation(self):
         coin = two_coin(0.5, 0.0, 0.25, 0.25)
